@@ -33,7 +33,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class UncertainVector:
-    """Parallel sequences of values and nonnegative standard uncertainties."""
+    """Parallel sequences of values and nonnegative standard uncertainties.
+
+    Arithmetic operators apply the propagation rules; they are installed
+    from the operator table `_OPERATORS` below the class definitions.
+    """
 
     __slots__ = ("values", "errors")
 
@@ -88,58 +92,13 @@ class UncertainVector:
             and np.array_equal(self.errors, other.errors, equal_nan=True)
         )
 
-    # Arithmetic delegates to the propagation rules.  Plain numbers are
-    # treated as exact (error 0); operands are always independent.
-    def _binary(self, fn, other, swap=False):
-        from . import propagation
-
-        other = as_uncertain(other)
-        if swap:
-            return propagation.propagate_binary(fn, other, self)
-        return propagation.propagate_binary(fn, self, other)
-
-    def __add__(self, other):
-        return self._binary("add", other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary("sub", other)
-
-    def __rsub__(self, other):
-        return self._binary("sub", other, swap=True)
-
-    def __mul__(self, other):
-        return self._binary("mul", other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary("div", other)
-
-    def __rtruediv__(self, other):
-        return self._binary("div", other, swap=True)
-
-    def __pow__(self, other):
-        return self._binary("pow", other)
-
-    def __rpow__(self, other):
-        return self._binary("pow", other, swap=True)
-
-    def __neg__(self):
-        from . import propagation
-
-        return propagation.propagate_unary("neg", self)
-
-    def __abs__(self):
-        from . import propagation
-
-        return propagation.propagate_unary("abs", self)
-
 
 @dataclass(frozen=True)
 class UncertainScalar:
-    """A single quantity value with its standard uncertainty."""
+    """A single quantity value with its standard uncertainty.
+
+    Its operators are the vector ones applied to the length-1 vector.
+    """
 
     value: float
     error: float
@@ -150,52 +109,6 @@ class UncertainScalar:
 
     def as_vector(self) -> UncertainVector:
         return UncertainVector([self.value], [self.error])
-
-    def _binary(self, fn, other, swap=False):
-        from . import propagation
-
-        other = as_uncertain(other)
-        a, b = (other, self.as_vector()) if swap else (self.as_vector(), other)
-        out = propagation.propagate_binary(fn, a, b)
-        return out[0] if len(out) == 1 else out
-
-    def __add__(self, other):
-        return self._binary("add", other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary("sub", other)
-
-    def __rsub__(self, other):
-        return self._binary("sub", other, swap=True)
-
-    def __mul__(self, other):
-        return self._binary("mul", other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary("div", other)
-
-    def __rtruediv__(self, other):
-        return self._binary("div", other, swap=True)
-
-    def __pow__(self, other):
-        return self._binary("pow", other)
-
-    def __rpow__(self, other):
-        return self._binary("pow", other, swap=True)
-
-    def __neg__(self):
-        from . import propagation
-
-        return propagation.propagate_unary("neg", self.as_vector())[0]
-
-    def __abs__(self):
-        from . import propagation
-
-        return propagation.propagate_unary("abs", self.as_vector())[0]
 
     def __format__(self, spec: str) -> str:
         if spec:
@@ -216,6 +129,57 @@ def as_uncertain(x) -> UncertainVector:
         return x.as_vector()
     values = np.atleast_1d(np.asarray(x, dtype=float))
     return UncertainVector(values, np.zeros_like(values), _validate=False)
+
+
+# propagation rule -> operator method names: (method,) for unary rules,
+# (method, reflected method) for binary ones
+_OPERATORS = {
+    "add": ("__add__", "__radd__"),
+    "sub": ("__sub__", "__rsub__"),
+    "mul": ("__mul__", "__rmul__"),
+    "div": ("__truediv__", "__rtruediv__"),
+    "pow": ("__pow__", "__rpow__"),
+    "neg": ("__neg__",),
+    "abs": ("__abs__",),
+}
+
+
+def _unary_operator(fn: str):
+    def method(self):
+        from .propagation import propagate_unary
+
+        return propagate_unary(fn, self)
+
+    return method
+
+
+def _binary_operator(fn: str, reflected: bool):
+    # plain numbers are exact (error 0); operands are always independent
+    def method(self, other):
+        from .propagation import propagate_binary
+
+        if reflected:
+            return propagate_binary(fn, other, self)
+        return propagate_binary(fn, self, other)
+
+    return method
+
+
+def _scalar_operator(vector_method):
+    # a scalar is the length-1 vector; a length-1 result is a scalar again
+    def method(self, *other):
+        out = vector_method(self.as_vector(), *other)
+        return out[0] if len(out) == 1 else out
+
+    return method
+
+
+for _fn, _names in _OPERATORS.items():
+    for _name, _reflected in zip(_names, (False, True)):
+        _method = (_unary_operator(_fn) if len(_names) == 1
+                   else _binary_operator(_fn, _reflected))
+        setattr(UncertainVector, _name, _method)
+        setattr(UncertainScalar, _name, _scalar_operator(_method))
 
 
 def make_uncertain(values: Sequence[float], errors) -> UncertainVector:

@@ -10,6 +10,7 @@ Grammar (EBNF):
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than
 * and /, which bind tighter than + and -.  Numbers are exact constants.
+Nesting deeper than MAX_NESTING levels is a ParseError.
 Every syntactic occurrence of a variable is an independent measurement:
 "x + x" and "2*x" propagate differently, on purpose.
 """
@@ -22,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import UncertainScalar
+from .core import UncertainScalar, UncertainVector, as_uncertain
 from .exceptions import LexError, ParseError, UnboundVariable, UnknownFunction
 from .propagation import (
     BINARY_RULES,
@@ -108,12 +109,18 @@ _ADD_OPS = {"+": "add", "-": "sub"}
 _MUL_OPS = {"*": "mul", "/": "div"}
 _POW_OPS = ("^", "**")
 
+# Deepest nesting of factors the parser accepts: each parenthesis, call
+# argument, unary sign and exponent opens one more level.  The bound keeps
+# the recursive-descent parser well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], src_len: int):
         self.tokens = tokens
         self.pos = 0
         self.src_len = src_len
+        self.nesting = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -148,14 +155,22 @@ class _Parser:
         return node
 
     def factor(self) -> ExprAst:
+        # parentheses, call arguments, unary signs and exponents all
+        # recurse through here, so one counter bounds the recursion
         t = self.peek()
-        if t and t.text == "-":
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             t.offset if t else self.src_len)
+        if t and t.text in ("-", "+"):
             self.next()
-            return Unary("neg", self.factor())
-        if t and t.text == "+":
-            self.next()
-            return self.factor()
-        return self.power()
+            node = self.factor()
+            if t.text == "-":
+                node = Unary("neg", node)
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> ExprAst:
         base = self.primary()
@@ -220,12 +235,20 @@ _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 _OP_TEXT = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
+def _const_text(v: float) -> str:
+    if v == float("inf"):
+        return "1e999"  # parses back as inf
+    if float(v).is_integer() and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
 def render(ast: ExprAst) -> str:
     """Canonical printer: parse(render(parse(s))) == parse(s)."""
 
     def go(node: ExprAst, parent_prec: int, right_side: bool) -> str:
         if isinstance(node, Const):
-            return repr(node.value) if node.value != int(node.value) else str(int(node.value))
+            return _const_text(node.value)
         if isinstance(node, Var):
             return node.name
         if isinstance(node, Unary):
@@ -257,44 +280,53 @@ def free_variables(ast: ExprAst) -> set[str]:
     return free_variables(ast.left) | free_variables(ast.right)
 
 
-def eval_uncertain(ast: ExprAst, env: dict) -> UncertainScalar:
+def _walk(node: ExprAst, env: dict, leaf, unary, binary):
+    """Evaluate bottom-up, left operand first.
+
+    `leaf` maps a constant or a bound value to an operand; `unary(fn, a)`
+    and `binary(fn, a, b)` combine operands.  (A nested closure would
+    form a reference cycle that keeps `env`, e.g. Monte Carlo draws,
+    alive until the next garbage collection.)
+    """
+    if isinstance(node, Unary):
+        return unary(node.fn, _walk(node.arg, env, leaf, unary, binary))
+    if isinstance(node, Binary):
+        return binary(node.fn, _walk(node.left, env, leaf, unary, binary),
+                      _walk(node.right, env, leaf, unary, binary))
+    if isinstance(node, Const):
+        return leaf(node.value)
+    if node.name not in env:
+        raise UnboundVariable(node.name)
+    return leaf(env[node.name])
+
+
+def _uncertain_leaf(val) -> UncertainVector:
+    # a plain number is exact; float() rejects anything else
+    return as_uncertain(val if isinstance(val, (UncertainVector, UncertainScalar)) else float(val))
+
+
+def eval_uncertain(ast: ExprAst, env: dict) -> UncertainScalar | UncertainVector:
     """Evaluate with uncertainty propagation at every node.
 
-    Environment values may be UncertainScalar or plain numbers (exact).
+    Environment values may be UncertainVector, UncertainScalar or plain
+    numbers (exact).  The tree is evaluated once over whole vectors; a
+    scalar or number is the length-1 case and broadcasts against them.
+    Returns an UncertainScalar when no binding is an UncertainVector,
+    else an UncertainVector.
     """
-    if isinstance(ast, Const):
-        return UncertainScalar(ast.value, 0.0)
-    if isinstance(ast, Var):
-        try:
-            val = env[ast.name]
-        except KeyError:
-            raise UnboundVariable(ast.name) from None
-        if isinstance(val, UncertainScalar):
-            return val
-        return UncertainScalar(float(val), 0.0)
-    if isinstance(ast, Unary):
-        arg = eval_uncertain(ast.arg, env)
-        return propagate_unary(ast.fn, arg.as_vector())[0]
-    left = eval_uncertain(ast.left, env)
-    right = eval_uncertain(ast.right, env)
-    return propagate_binary(ast.fn, left.as_vector(), right.as_vector())[0]
+    out = _walk(ast, env, _uncertain_leaf, propagate_unary, propagate_binary)
+    return out if any(isinstance(v, UncertainVector) for v in env.values()) else out[0]
+
+
+def _numeric_unary(fn, x):
+    return UNARY_RULES[fn][0](np.asarray(x, dtype=float))
+
+
+def _numeric_binary(fn, x, y):
+    return BINARY_RULES[fn][0](np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def eval_numeric(ast: ExprAst, env: dict):
     """Plain numeric evaluation (scalars or numpy arrays), same tree semantics."""
-    if isinstance(ast, Const):
-        return ast.value
-    if isinstance(ast, Var):
-        try:
-            return env[ast.name]
-        except KeyError:
-            raise UnboundVariable(ast.name) from None
     with np.errstate(all="ignore"):
-        if isinstance(ast, Unary):
-            f = UNARY_RULES[ast.fn][0]
-            return f(np.asarray(eval_numeric(ast.arg, env), dtype=float))
-        f = BINARY_RULES[ast.fn][0]
-        return f(
-            np.asarray(eval_numeric(ast.left, env), dtype=float),
-            np.asarray(eval_numeric(ast.right, env), dtype=float),
-        )
+        return _walk(ast, env, lambda val: val, _numeric_unary, _numeric_binary)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UncertainScalar
 from .exceptions import NonFiniteSamples, UnboundVariable
-from .expr import ExprAst, eval_numeric, eval_uncertain, free_variables
+from .expr import ExprAst, Var, eval_numeric, eval_uncertain, free_variables
 
 __all__ = ["McConfig", "McResult", "TsmMcmReport", "mc_propagate", "compare_tsm_mcm"]
 
@@ -62,12 +61,6 @@ class TsmMcmReport:
         return self.mcm.sd
 
 
-def _coerce(val) -> UncertainScalar:
-    if isinstance(val, UncertainScalar):
-        return val
-    return UncertainScalar(float(val), 0.0)
-
-
 def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResult:
     """Sample the inputs, evaluate the expression, summarize the output.
 
@@ -82,7 +75,7 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
     # draw in sorted-name order so the stream assignment is reproducible
     draws = {}
     for name in names:
-        s = _coerce(env[name])
+        s = eval_uncertain(Var(name), env)  # a plain number is exact
         draws[name] = rng.normal(s.value, s.error, cfg.samples)
     out = np.asarray(eval_numeric(expr, draws), dtype=float)
     if out.ndim == 0:
@@ -108,7 +101,7 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
 
 def compare_tsm_mcm(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> TsmMcmReport:
     """Run both propagation methods and report the relative spread gap."""
-    tsm = eval_uncertain(expr, {k: _coerce(v) for k, v in env.items()})
+    tsm = eval_uncertain(expr, env)
     mcm = mc_propagate(expr, env, cfg)
     gap = abs(tsm.error - mcm.sd) / mcm.sd if mcm.sd else float("inf")
     return TsmMcmReport(

@@ -43,6 +43,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    # XML character data; xml.sax.saxutils would import urllib and ssl
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def scatter_svg(
     x: UncertainVector,
     y: UncertainVector,
@@ -85,9 +90,9 @@ def scatter_svg(
         f'<rect x="{_fmt(mx)}" y="{_fmt(my)}" width="{_fmt(WIDTH - 2 * mx)}" '
         f'height="{_fmt(HEIGHT - 2 * my)}" fill="none" stroke="#000000"/>',
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-        f'font-size="14">{x_label}</text>',
+        f'font-size="14">{_escape(x_label)}</text>',
         f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 14 {HEIGHT // 2})">{y_label}</text>',
+        f'transform="rotate(-90 14 {HEIGHT // 2})">{_escape(y_label)}</text>',
     ]
     for i in range(n):
         color = color_of[groups[i]] if groups is not None else PALETTE[0]

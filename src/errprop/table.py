@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UncertainScalar, UncertainVector, make_uncertain
+from .core import UncertainScalar, UncertainVector, as_uncertain, make_uncertain, subset
 from .exceptions import ErrpropError, ParseError
 from .expr import parse_expr, eval_uncertain
 from .formatting import Notation, format_column, parse_value
@@ -53,17 +53,6 @@ class Table:
             )
         self.names.append(name)
         self.columns[name] = column
-
-    def row_env(self, i: int) -> dict:
-        """Environment for row-wise expression evaluation."""
-        env = {}
-        for name in self.names:
-            col = self.columns[name]
-            if isinstance(col, UncertainVector):
-                env[name] = col[i]
-            elif isinstance(col, np.ndarray):
-                env[name] = UncertainScalar(float(col[i]), 0.0)
-        return env
 
     def formatted(self, notation: Notation) -> list[list[str]]:
         """All cells as strings, uncertain columns rendered per notation."""
@@ -111,11 +100,15 @@ def read_csv(stream) -> Table:
         if name in seen:
             raise ErrpropError(f"duplicate column {name!r} in header")
         seen.add(name)
-    rows = [row for row in reader if row]
+    rows = []
+    for row in filter(None, reader):  # blank lines are skipped
+        if len(row) != len(header):
+            raise ErrpropError(f"line {reader.line_num}: expected {len(header)} "
+                               f"cells, found {len(row)}")
+        rows.append(row)
     table = Table()
     for j, name in enumerate(header):
-        cells = [row[j].strip() if j < len(row) else "" for row in rows]
-        table.add(name, _classify(cells))
+        table.add(name, _classify([row[j].strip() for row in rows]))
     return table
 
 
@@ -157,12 +150,19 @@ def attach_errors(table: Table, column: str, *, absolute=None, relative=None,
 
 
 def derive_column(table: Table, name: str, expression: str) -> None:
-    """Evaluate an expression row-wise over the table's columns, in place."""
+    """Evaluate an expression over whole columns, in place.
+
+    Propagation is elementwise, so each row gets the same bits as
+    evaluating that row alone.  Numeric columns are exact; text columns
+    are not bound.
+    """
     ast = parse_expr(expression)
-    results = [eval_uncertain(ast, table.row_env(i)) for i in range(table.nrows)]
-    table.add(name, UncertainVector(
-        [r.value for r in results], [r.error for r in results], _validate=False
-    ))
+    env = {n: as_uncertain(c) for n, c in table.columns.items()
+           if isinstance(c, (UncertainVector, np.ndarray))}
+    out = as_uncertain(eval_uncertain(ast, env))
+    if len(out) != table.nrows:  # a constant-only expression
+        out = subset(out, np.zeros(table.nrows, dtype=int))
+    table.add(name, out)
 
 
 _SUMMARY_FUNCS = {

@@ -36,6 +36,24 @@ def test_eval_bad_expression_is_exit_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("expr, position", [
+    ("(" * 3000 + "x" + ")" * 3000, 100),
+    ("0" + "-" * 3000 + "x", 102),
+    ("sin(" * 3000 + "x" + ")" * 3000, 400),
+], ids=["parentheses", "signs", "calls"])
+def test_eval_deep_nesting_is_exit_2(capsys, expr, position):
+    code, out, err = run(capsys, "eval", expr, "x=1(1)")
+    assert code == 2
+    assert out == ""
+    assert f"nested deeper than 100 levels (position {position})" in err
+
+
+def test_eval_nesting_at_the_limit(capsys):
+    code, out, _ = run(capsys, "eval", "(" * 99 + "x" + ")" * 99, "x=1(1)")
+    assert code == 0
+    assert out == "1(1)\n"
+
+
 def test_eval_json_roundtrip(capsys):
     code, out, _ = run(capsys, "eval", "x/y", "x=5.00(1)", "y=1.00(1)",
                        "--format", "json")
@@ -96,6 +114,36 @@ def test_table_empty(tmp_path, capsys):
     code, out, _ = run(capsys, "table", str(src), "--format", "csv")
     assert code == 0
     assert out == "a,b\n"
+    code, out, _ = run(capsys, "table", str(src), "--derive", "c=2*a",
+                       "--derive", "k=2", "--format", "csv")
+    assert code == 0
+    assert out == "a,b,c,k\n"
+
+
+def test_table_constant_derive_fills_every_row(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("g,x\na,1\nb,2\nc,3\n")
+    code, out, _ = run(capsys, "table", str(src), "--derive", "k=2",
+                       "--format", "csv")
+    assert code == 0
+    assert out == "g,x,k\na,1,2\nb,2,2\nc,3,2\n"
+
+
+def test_table_derive_from_text_column_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("g,x\na,1\n")
+    code, out, err = run(capsys, "table", str(src), "--derive", "z=2*g")
+    assert code == 2
+    assert out == ""
+    assert "unbound variable: g" in err
+
+
+def test_table_ragged_row_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("a,b\n1,2,3\n")
+    code, _, err = run(capsys, "table", str(src))
+    assert code == 2
+    assert "line 2: expected 2 cells, found 3" in err
 
 
 def test_table_summarize(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from errprop import (
 )
 from errprop.core import UncertainScalar, UncertainVector
 from errprop.exceptions import IndexOutOfBounds, LengthMismatch, NegativeError
+from errprop.propagation import propagate_binary, propagate_unary
 
 
 def test_scalar_error_broadcast():
@@ -118,3 +121,27 @@ def test_bitwise_broadcast():
     e = 0.1234567890123
     x = make_uncertain([1, 2, 3], e)
     assert all(err == e for err in get_errors(x))
+
+
+@pytest.mark.parametrize("fn, op", [
+    ("add", operator.add), ("sub", operator.sub), ("mul", operator.mul),
+    ("div", operator.truediv), ("pow", operator.pow),
+])
+def test_binary_operators_apply_the_rule(fn, op):
+    a, b = UncertainScalar(1.7, 0.02), UncertainScalar(2.3, 0.05)
+    v = make_uncertain([0.5, 1.7, 3.1], [0.01, 0.0, 0.2])
+    assert op(a, b) == propagate_binary(fn, a, b)[0]
+    assert op(a, v) == propagate_binary(fn, a, v)
+    assert op(v, a) == propagate_binary(fn, v, a)
+    assert op(a, 2.5) == propagate_binary(fn, a, 2.5)[0]
+    # reflected methods keep the operand order
+    assert op(2.5, a) == propagate_binary(fn, 2.5, a)[0]
+    assert op(2.5, v) == propagate_binary(fn, 2.5, v)
+
+
+@pytest.mark.parametrize("fn, op", [("neg", operator.neg), ("abs", operator.abs)])
+def test_unary_operators_apply_the_rule(fn, op):
+    a = UncertainScalar(-1.7, 0.02)
+    v = make_uncertain([-0.5, 0.0, 3.1], [0.01, 0.1, 0.2])
+    assert op(a) == propagate_unary(fn, a)[0]
+    assert op(v) == propagate_unary(fn, v)

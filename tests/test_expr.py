@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from errprop import eval_numeric, eval_uncertain, parse_expr, render
-from errprop.core import UncertainScalar
+from errprop import eval_numeric, eval_uncertain, make_uncertain, parse_expr, render
+from errprop.core import UncertainScalar, UncertainVector
 from errprop.exceptions import LexError, ParseError, UnboundVariable, UnknownFunction
 from errprop.expr import Binary, Const, Unary, Var, free_variables, parse, tokenize
 from errprop.propagation import propagate_general
@@ -79,6 +79,21 @@ def test_eval_uncertain_division():
     assert out.error == pytest.approx(0.0509902, abs=1e-7)
 
 
+def test_eval_uncertain_result_type():
+    ast = parse_expr("x*y + 1")
+    out = eval_uncertain(ast, {"x": UncertainScalar(2.0, 0.1), "y": 3})
+    assert isinstance(out, UncertainScalar)
+    assert out == UncertainScalar(7.0, 0.30000000000000004)
+    assert isinstance(eval_uncertain(parse_expr("2"), {}), UncertainScalar)
+    vec = make_uncertain([1.0, 2.0], 0.1)
+    out = eval_uncertain(ast, {"x": vec, "y": UncertainScalar(3.0, 0.0)})
+    assert isinstance(out, UncertainVector)
+    assert out.values.tolist() == [4.0, 7.0]
+    assert out[1] == eval_uncertain(ast, {"x": vec[1], "y": UncertainScalar(3.0, 0.0)})
+    # a vector binding makes a vector, even one the expression leaves unused
+    assert eval_uncertain(parse_expr("x"), {"x": 5, "v": vec}) == make_uncertain([5.0], 0.0)
+
+
 def test_eval_independence_semantics():
     env = {"x": UncertainScalar(1.0, 1 / 30)}
     double = eval_uncertain(parse_expr("x+x"), env)
@@ -115,7 +130,7 @@ def asts(draw, depth=0):
     if depth > 3 or draw(st.booleans()):
         if draw(st.booleans()):
             return Var(draw(names))
-        return Const(draw(st.floats(0.1, 4.0)))
+        return Const(draw(st.floats(0.1, 4.0) | st.sampled_from([math.inf, 1e300, 1e22])))
     kind = draw(st.integers(0, 2))
     if kind == 0:
         return Unary(draw(unary_fns), draw(asts(depth + 1)))

@@ -1,8 +1,10 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
-from errprop import make_uncertain
-from errprop.core import UncertainVector
+from errprop import eval_uncertain, make_uncertain, parse_expr
+from errprop.core import UncertainScalar, UncertainVector
 from errprop.exceptions import ErrpropError
 from errprop.svg import scatter_svg
 from errprop.table import (
@@ -13,6 +15,7 @@ from errprop.table import (
     summarize,
 )
 from errprop.formatting import Notation
+from errprop.propagation import BINARY_RULES, UNARY_RULES
 
 IRIS_HEAD = """Sepal.Length,Sepal.Width,Petal.Length,Petal.Width,Species
 5.1,3.5,1.4,0.2,setosa
@@ -139,3 +142,50 @@ def test_svg_groups_get_distinct_colors():
     x, y = _plot_vectors(4)
     svg = scatter_svg(x, y, groups=["a", "a", "b", "b"])
     assert "#1b9e77" in svg and "#d95f02" in svg
+
+
+def test_derive_column_matches_row_by_row_bitwise():
+    # whole-column evaluation must give exactly the per-row results, for
+    # every rule, including rows outside a rule's domain (NaN)
+    rng = np.random.default_rng(3)
+    n = 300
+    x = make_uncertain(rng.uniform(-3, 3, n), rng.uniform(0, 0.1, n))
+    y = make_uncertain(rng.uniform(-2, 2, n), rng.uniform(0, 0.1, n))
+    k = rng.uniform(-5, 5, n)
+    exprs = [f"{fn}(x)" for fn in UNARY_RULES] + [
+        f"{fn}(x, y)" for fn in BINARY_RULES
+    ] + ["2.5*x - k/3 + y^2", "k^2 + 1"]
+    t = Table()
+    t.add("x", x)
+    t.add("y", y)
+    t.add("k", k)
+    t.add("g", ["a"] * n)
+    for i, src in enumerate(exprs):
+        derive_column(t, f"d{i}", src)
+        col = t.columns[f"d{i}"]
+        ast = parse_expr(src)
+        rows = [
+            eval_uncertain(ast, {"x": x[j], "y": y[j],
+                                 "k": UncertainScalar(float(k[j]), 0.0)})
+            for j in range(n)
+        ]
+        assert np.array_equal(col.values, [r.value for r in rows], equal_nan=True), src
+        assert np.array_equal(col.errors, [r.error for r in rows], equal_nan=True), src
+        assert not np.isnan(col.values).all(), src
+    assert len(UNARY_RULES) == 16 and len(BINARY_RULES) == 6
+
+
+@pytest.mark.parametrize("src, line, found", [
+    ("a,b\n1,2\n3\n", 3, 1),
+    ("a,b\n1,2,3\n", 2, 3),
+], ids=["short", "long"])
+def test_ragged_rows_rejected(src, line, found):
+    with pytest.raises(ErrpropError, match=f"line {line}: expected 2 cells, found {found}"):
+        read_csv(src)
+
+
+def test_svg_labels_escaped():
+    x, y = _plot_vectors(3)
+    root = ET.fromstring(scatter_svg(x, y, x_label="a<b & c", y_label='"y" > 0'))
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["a<b & c", '"y" > 0']
