@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression over uncertain variables")
-    p.add_argument("expr", help='expression, e.g. "x/y"')
+    p.add_argument("expr", help='expression, e.g. "x/y"; one that starts with "-" '
+                   'needs -- before it, after any flags: -- "-x"')
     p.add_argument("vars", nargs="*", metavar="NAME=SPEC",
                    help='variable bindings, e.g. x=5.00(1) or y="1.0 ± 0.1"')
     _add_common(p)
@@ -207,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("mc", help="compare Taylor propagation against Monte Carlo")
-    p.add_argument("expr")
+    p.add_argument("expr", help='expression; one that starts with "-" needs -- '
+                   'before it, after any flags: -- "-x"')
     p.add_argument("vars", nargs="*", metavar="NAME=SPEC")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import UncertainScalar, UncertainVector, as_uncertain
 from .exceptions import LexError, ParseError, UnboundVariable, UnknownFunction
+from .formatting import _bare
 from .propagation import (
     BINARY_RULES,
     UNARY_RULES,
@@ -232,72 +233,81 @@ def parse_expr(src: str) -> ExprAst:
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+_ATOM = 5  # a name, a number or a call: never parenthesized
 _OP_TEXT = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
+def _walk(ast: ExprAst, leaf, unary, binary):
+    """Fold the tree bottom-up, left operand first, without recursion.
+
+    `leaf(node)` maps a Const or Var node to an operand; `unary(fn, a)`
+    and `binary(fn, a, b)` combine operands.  A flat chain such as
+    x+x+...+x builds a tree as deep as it is long, so the walk keeps its
+    own stack instead of Python's.
+    """
+    # pre-order, right subtree first; read backwards: post-order, left first
+    order, todo = [], [ast]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Binary):
+            todo += (node.left, node.right)
+        elif isinstance(node, Unary):
+            todo.append(node.arg)
+    out = []
+    for node in reversed(order):
+        if isinstance(node, Binary):
+            out[-2:] = [binary(node.fn, *out[-2:])]
+        elif isinstance(node, Unary):
+            out[-1] = unary(node.fn, out[-1])
+        else:
+            out.append(leaf(node))
+    return out[0]
+
+
 def _const_text(v: float) -> str:
-    if v == float("inf"):
-        return "1e999"  # parses back as inf
-    if float(v).is_integer() and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    return "1e999" if v == float("inf") else _bare(v)  # 1e999 parses back as inf
+
+
+def _paren(operand: tuple[str, int], prec: int) -> str:
+    text, own = operand
+    return f"({text})" if own < prec else text
 
 
 def render(ast: ExprAst) -> str:
     """Canonical printer: parse(render(parse(s))) == parse(s)."""
 
-    def go(node: ExprAst, parent_prec: int, right_side: bool) -> str:
-        if isinstance(node, Const):
-            return _const_text(node.value)
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Unary):
-            if node.fn == "neg":
-                s = f"-{go(node.arg, _PREC['neg'], True)}"
-                prec = _PREC["neg"]
-            else:
-                return f"{node.fn}({go(node.arg, 0, False)})"
-            return f"({s})" if prec < parent_prec else s
-        if node.fn not in _OP_TEXT:
-            return f"{node.fn}({go(node.left, 0, False)}, {go(node.right, 0, False)})"
-        prec = _PREC[node.fn]
-        right_assoc = node.fn == "pow"
-        lhs = go(node.left, prec + (1 if right_assoc else 0), False)
-        rhs = go(node.right, prec + (0 if right_assoc else 1), True)
-        s = f"{lhs} {_OP_TEXT[node.fn]} {rhs}"
-        return f"({s})" if prec < parent_prec or (prec == parent_prec and not right_side and right_assoc) else s
+    def leaf(node):
+        return (node.name if isinstance(node, Var) else _const_text(node.value)), _ATOM
 
-    return go(ast, 0, False)
+    def unary(fn, a):
+        if fn == "neg":
+            return "-" + _paren(a, _PREC["neg"]), _PREC["neg"]
+        return f"{fn}({a[0]})", _ATOM
+
+    def binary(fn, a, b):
+        if fn not in _OP_TEXT:
+            return f"{fn}({a[0]}, {b[0]})", _ATOM
+        # ^ is right-associative: an equal-precedence left operand needs parentheses
+        prec, right_assoc = _PREC[fn], fn == "pow"
+        lhs, rhs = _paren(a, prec + right_assoc), _paren(b, prec + (not right_assoc))
+        return f"{lhs} {_OP_TEXT[fn]} {rhs}", prec
+
+    return _walk(ast, leaf, unary, binary)[0]
 
 
 def free_variables(ast: ExprAst) -> set[str]:
-    if isinstance(ast, Const):
-        return set()
-    if isinstance(ast, Var):
-        return {ast.name}
-    if isinstance(ast, Unary):
-        return free_variables(ast.arg)
-    return free_variables(ast.left) | free_variables(ast.right)
+    return _walk(ast, lambda node: {node.name} if isinstance(node, Var) else set(),
+                 lambda fn, a: a, lambda fn, a, b: a | b)
 
 
-def _walk(node: ExprAst, env: dict, leaf, unary, binary):
-    """Evaluate bottom-up, left operand first.
-
-    `leaf` maps a constant or a bound value to an operand; `unary(fn, a)`
-    and `binary(fn, a, b)` combine operands.  (A nested closure would
-    form a reference cycle that keeps `env`, e.g. Monte Carlo draws,
-    alive until the next garbage collection.)
-    """
-    if isinstance(node, Unary):
-        return unary(node.fn, _walk(node.arg, env, leaf, unary, binary))
-    if isinstance(node, Binary):
-        return binary(node.fn, _walk(node.left, env, leaf, unary, binary),
-                      _walk(node.right, env, leaf, unary, binary))
+def _bound(node: Const | Var, env: dict):
+    """A constant's number or a variable's binding."""
     if isinstance(node, Const):
-        return leaf(node.value)
+        return node.value
     if node.name not in env:
         raise UnboundVariable(node.name)
-    return leaf(env[node.name])
+    return env[node.name]
 
 
 def _uncertain_leaf(val) -> UncertainVector:
@@ -314,7 +324,8 @@ def eval_uncertain(ast: ExprAst, env: dict) -> UncertainScalar | UncertainVector
     Returns an UncertainScalar when no binding is an UncertainVector,
     else an UncertainVector.
     """
-    out = _walk(ast, env, _uncertain_leaf, propagate_unary, propagate_binary)
+    out = _walk(ast, lambda node: _uncertain_leaf(_bound(node, env)),
+                propagate_unary, propagate_binary)
     return out if any(isinstance(v, UncertainVector) for v in env.values()) else out[0]
 
 
@@ -329,4 +340,4 @@ def _numeric_binary(fn, x, y):
 def eval_numeric(ast: ExprAst, env: dict):
     """Plain numeric evaluation (scalars or numpy arrays), same tree semantics."""
     with np.errstate(all="ignore"):
-        return _walk(ast, env, lambda val: val, _numeric_unary, _numeric_binary)
+        return _walk(ast, lambda node: _bound(node, env), _numeric_unary, _numeric_binary)

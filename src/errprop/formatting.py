@@ -60,6 +60,11 @@ def _fixed(d: Decimal, place: int) -> str:
 
 
 def _bare(v: float) -> str:
+    """Text of a plain number, as a table cell or an expression constant.
+
+    Pass a Python float: under numpy 2, repr(np.float64(1.5)) is
+    "np.float64(1.5)".
+    """
     if math.isnan(v):
         return "NaN"
     if math.isinf(v):
@@ -76,7 +81,7 @@ def format_value(value: float, error: float, notation: Notation = Notation()) ->
     if error == 0:
         return _bare(value)
     if math.isinf(value) or math.isinf(error):
-        v, e = _bare(value), _bare(error) if not math.isinf(error) else "Inf"
+        v, e = _bare(value), _bare(error)
         return f"{v}({e})" if notation.style == PARENTHESIS else f"{v} ± {e}"
 
     dv = Decimal(repr(float(value)))
@@ -124,13 +129,6 @@ _PM_RE = re.compile(
 _BARE_RE = re.compile(rf"\s*(?P<val>{_NUM}(?:{_EXP})?)\s*$")
 
 
-def _shift(num: str, exp: str | None) -> float:
-    d = Decimal(num)
-    if exp:
-        d = d.scaleb(int(exp[1:]))
-    return float(d)
-
-
 def parse_value(s: str) -> UncertainScalar:
     """Parse any machine-readable GUM notation back to a value/error pair.
 
@@ -162,7 +160,7 @@ def parse_value(s: str) -> UncertainScalar:
         return UncertainScalar(float(v), float(e))
     m = _BARE_RE.match(s)
     if m:
-        return UncertainScalar(_shift(m.group("val"), None), 0.0)
+        return UncertainScalar(float(m.group("val")), 0.0)
     # diagnostics: report the first character that no form can start with
     stripped = s.lstrip()
     pos = len(s) - len(stripped)

@@ -179,6 +179,9 @@ def cumulative_sum(x) -> UncertainVector:
 
 def cumulative_prod(x) -> UncertainVector:
     """Running products via repeated application of the mul rule."""
+    # A fold, not the closed form |P_i| * sqrt(cumsum((e/v)**2)): that
+    # divides by every value, so a zero value or a zero running product
+    # breaks it, and it loses _term's rule that a zero error adds nothing.
     x = as_uncertain(x)
     values = np.empty(len(x))
     errors = np.empty(len(x))

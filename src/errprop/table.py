@@ -18,13 +18,10 @@ import numpy as np
 from .core import UncertainScalar, UncertainVector, as_uncertain, make_uncertain, subset
 from .exceptions import ErrpropError, ParseError
 from .expr import parse_expr, eval_uncertain
-from .formatting import Notation, format_column, parse_value
+from .formatting import Notation, _bare, format_column, parse_value
 from . import summaries
 
 __all__ = ["Table", "read_csv", "attach_errors", "derive_column", "summarize"]
-
-_UNCERT_CELL_RE = re.compile(r".*(\(.*\)|±|\+/-)")
-
 
 @dataclass
 class Table:
@@ -62,31 +59,18 @@ class Table:
             if isinstance(col, UncertainVector):
                 cols.append(format_column(col, notation))
             elif isinstance(col, np.ndarray):
-                cols.append([_num_str(v) for v in col])
+                cols.append([_bare(v) for v in col.tolist()])
             else:
                 cols.append([str(v) for v in col])
         return [list(row) for row in zip(*cols)] if cols else []
 
 
-def _num_str(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
-
-
-def _try_float(s: str) -> float | None:
-    try:
-        return float(s)
-    except ValueError:
-        return None
-
-
 def read_csv(stream) -> Table:
     """Read an RFC-4180 CSV with a header row into a Table.
 
-    Numeric columns become float arrays; columns where every cell parses
-    as an uncertain value (and at least one carries explicit uncertainty
-    syntax) become UncertainVector; everything else stays text.
+    A column whose every cell float() reads ("2", "1e-3", "inf", "NaN")
+    becomes a float array; else one whose every cell parse_value reads
+    becomes an UncertainVector; anything else stays text.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -113,18 +97,17 @@ def read_csv(stream) -> Table:
 
 
 def _classify(cells: list[str]):
-    floats = [_try_float(c) for c in cells]
-    if all(f is not None for f in floats):
-        return np.asarray(floats, dtype=float)
-    if any(_UNCERT_CELL_RE.match(c) for c in cells):
-        try:
-            parsed = [parse_value(c) for c in cells]
-        except ParseError:
-            return cells
-        return UncertainVector(
-            [p.value for p in parsed], [p.error for p in parsed]
-        )
-    return cells
+    # Every bare numeral parse_value accepts, float() accepts too, so a
+    # column of plain numbers is never taken for an uncertain one.
+    try:
+        return np.array([float(c) for c in cells], dtype=float)
+    except ValueError:
+        pass
+    try:
+        parsed = [parse_value(c) for c in cells]
+    except ParseError:
+        return cells
+    return UncertainVector([p.value for p in parsed], [p.error for p in parsed])
 
 
 def attach_errors(table: Table, column: str, *, absolute=None, relative=None,

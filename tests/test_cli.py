@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from errprop.cli import main
+from errprop.table import read_csv
 
 
 def run(capsys, *argv):
@@ -52,6 +56,19 @@ def test_eval_nesting_at_the_limit(capsys):
     code, out, _ = run(capsys, "eval", "(" * 99 + "x" + ")" * 99, "x=1(1)")
     assert code == 0
     assert out == "1(1)\n"
+
+
+def test_eval_flat_chain(capsys):
+    # the tree of a flat chain is as deep as the chain is long
+    code, out, _ = run(capsys, "eval", "+".join(["x"] * 5000), "x=1(1)")
+    assert code == 0
+    assert out == "5000(70)\n"
+
+
+def test_eval_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(capsys, "eval", "--digits", "2", "--", "-x", "x=1.0(1)")
+    assert code == 0
+    assert out == "-1.00(10)\n"
 
 
 def test_eval_json_roundtrip(capsys):
@@ -146,6 +163,35 @@ def test_table_ragged_row_is_exit_2(tmp_path, capsys):
     assert "line 2: expected 2 cells, found 3" in err
 
 
+def test_table_nonfinite_numeric_cells(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("a,b\n1,inf\n2,nan\n")
+    code, out, _ = run(capsys, "table", str(src), "--format", "csv")
+    assert code == 0
+    assert out == "a,b\n1,Inf\n2,NaN\n"
+    back = read_csv(out).columns["b"]
+    assert isinstance(back, np.ndarray)
+    assert back[0] == math.inf and math.isnan(back[1])
+
+
+plain_floats = (st.floats() | st.integers(10**16, 10**300).map(float)
+                | st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, 1e300, -0.0]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(plain_floats, min_size=1, max_size=20))
+def test_table_numeric_column_roundtrip(tmp_path, capsys, values):
+    src = tmp_path / "t.csv"
+    src.write_text("a\n" + "".join(f"{v!r}\n" for v in values))
+    code, out, _ = run(capsys, "table", str(src), "--format", "csv")
+    assert code == 0
+    back = read_csv(out).columns["a"]
+    assert isinstance(back, np.ndarray)
+    # NaN equals NaN here, and -0.0 equals 0
+    np.testing.assert_array_equal(back, np.array(values))
+
+
 def test_table_summarize(tmp_path, capsys):
     src = tmp_path / "t.csv"
     src.write_text("x\n1.00(3)\n2.00(3)\n3.00(3)\n")
@@ -173,6 +219,15 @@ def test_mc_determinism(tmp_path, capsys):
     assert doc["tsm_sd"] == pytest.approx(0.0509902, abs=1e-7)
     assert doc["mcm_sd"] == pytest.approx(0.0509902, rel=0.05)
     assert doc["relative_gap"] < 0.05
+
+
+def test_mc_flat_chain(capsys):
+    code, out, _ = run(capsys, "mc", "+".join(["x"] * 3000), "x=1(1)",
+                       "--samples", "1000", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tsm_value"] == 3000
+    assert doc["tsm_sd"] == pytest.approx(math.sqrt(3000))
 
 
 def test_mc_linear_gap_small(capsys):

@@ -144,6 +144,13 @@ def test_render_parse_roundtrip(ast):
     assert parse_expr(render(ast)) == ast
 
 
+def test_render_flat_product():
+    # 5,000 levels deep: tree equality would recurse, so compare the text
+    text = " * ".join(["x"] * 5000)
+    assert render(parse_expr(text.replace(" ", ""))) == text
+    assert render(parse_expr(text)) == text
+
+
 @settings(max_examples=200, deadline=None)
 @given(ast=asts())
 def test_value_part_matches_numeric(ast):
