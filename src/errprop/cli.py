@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="y column name")
     p.add_argument("--group", default=None, help="color points by this column")
     p.add_argument("-o", "--output", required=True, help="output SVG path")
-    _add_common(p)
     p.set_defaults(func=cmd_plot)
 
     return parser

@@ -26,42 +26,52 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _frozen(a) -> np.ndarray:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
     a.setflags(write=False)
     return a
+
+
+def _legal(values, errors):
+    """The rule for data from outside the program, on floats or arrays:
+    an uncertainty is finite and nonnegative, or NaN on a NaN value."""
+    # x != x is the NaN test that costs a Python float no numpy call
+    return ((0 <= errors) & (errors < np.inf)) | ((values != values) & (errors != errors))
+
+
+def _illegal(value, error, where: str = "") -> NegativeError:
+    return NegativeError(f"uncertainty {error} on value {value}{where}: an uncertainty "
+                         "must be finite and nonnegative, or NaN on a NaN value")
 
 
 class UncertainVector:
     """Parallel sequences of values and nonnegative standard uncertainties.
 
-    Arithmetic operators apply the propagation rules; they are installed
-    from the operator table `_OPERATORS` below the class definitions.
+    The constructors of both classes check their input by `_legal`; data
+    already inside the program (results, slices, elements) is built by
+    `_unchecked` and never checked again, so it may carry an infinite or
+    NaN uncertainty.  Operators come from the table `_OPERATORS` below.
     """
 
     __slots__ = ("values", "errors")
 
-    def __init__(self, values, errors, _validate: bool = True):
-        values = _frozen(np.atleast_1d(np.asarray(values, dtype=float)))
-        errors = _frozen(np.atleast_1d(np.asarray(errors, dtype=float)))
-        if _validate:
-            if len(values) != len(errors):
-                raise LengthMismatch(
-                    f"{len(values)} values but {len(errors)} errors"
-                )
-            neg = errors < 0
-            if neg.any():
-                raise NegativeError(
-                    f"negative uncertainty at index {int(np.argmax(neg))}"
-                )
-            bad_nan = np.isnan(errors) & ~np.isnan(values)
-            if bad_nan.any():
-                raise NegativeError(
-                    "NaN uncertainty only allowed for NaN values "
-                    f"(index {int(np.argmax(bad_nan))})"
-                )
+    def __init__(self, values, errors):
+        values, errors = _frozen(values), _frozen(errors)
+        if len(values) != len(errors):
+            raise LengthMismatch(f"{len(values)} values but {len(errors)} errors")
+        bad = ~_legal(values, errors)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _illegal(values[i], errors[i], f" at index {i}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "errors", errors)
+
+    @classmethod
+    def _unchecked(cls, values, errors) -> UncertainVector:
+        x = object.__new__(cls)
+        object.__setattr__(x, "values", _frozen(values))
+        object.__setattr__(x, "errors", _frozen(errors))
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("UncertainVector is immutable")
@@ -71,14 +81,14 @@ class UncertainVector:
 
     def __iter__(self):
         for v, e in zip(self.values, self.errors):
-            yield UncertainScalar(float(v), float(e))
+            yield UncertainScalar._unchecked(float(v), float(e))
 
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
             n = len(self)
             if not -n <= i < n:
                 raise IndexOutOfBounds(f"index {i} out of bounds for length {n}")
-            return UncertainScalar(float(self.values[i]), float(self.errors[i]))
+            return UncertainScalar._unchecked(float(self.values[i]), float(self.errors[i]))
         return subset(self, i)
 
     def __repr__(self) -> str:
@@ -104,11 +114,17 @@ class UncertainScalar:
     error: float
 
     def __post_init__(self):
-        if self.error < 0:
-            raise NegativeError(f"negative uncertainty {self.error}")
+        if not _legal(self.value, self.error):
+            raise _illegal(self.value, self.error)
+
+    @classmethod
+    def _unchecked(cls, value: float, error: float) -> UncertainScalar:
+        s = object.__new__(cls)  # no __init__, so no __post_init__ check
+        s.__dict__.update(value=value, error=error)
+        return s
 
     def as_vector(self) -> UncertainVector:
-        return UncertainVector([self.value], [self.error])
+        return UncertainVector._unchecked([self.value], [self.error])
 
     def __format__(self, spec: str) -> str:
         if spec:
@@ -128,7 +144,7 @@ def as_uncertain(x) -> UncertainVector:
     if isinstance(x, UncertainScalar):
         return x.as_vector()
     values = np.atleast_1d(np.asarray(x, dtype=float))
-    return UncertainVector(values, np.zeros_like(values), _validate=False)
+    return UncertainVector._unchecked(values, np.zeros_like(values))
 
 
 # propagation rule -> operator method names: (method,) for unary rules,
@@ -185,16 +201,13 @@ for _fn, _names in _OPERATORS.items():
 def make_uncertain(values: Sequence[float], errors) -> UncertainVector:
     """Build an UncertainVector; a single error value is broadcast to all elements.
 
-    Raises NegativeError for negative uncertainties and LengthMismatch when
-    1 < len(errors) != len(values).  Broadcasting is scalar-to-vector only.
+    Raises NegativeError for an uncertainty `_legal` rejects and LengthMismatch
+    when 1 < len(errors) != len(values).  Broadcasting is scalar-to-vector only.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     errors = np.atleast_1d(np.asarray(errors, dtype=float))
     if len(errors) == 1 and len(values) != 1:
         errors = np.repeat(errors, len(values))
-    finite_required = ~np.isnan(errors)
-    if not np.isfinite(errors[finite_required]).all():
-        raise NegativeError("uncertainties must be finite")
     return UncertainVector(values, errors)
 
 
@@ -216,7 +229,7 @@ def errors_max(x: UncertainVector) -> np.ndarray:
 def subset(x: UncertainVector, indices) -> UncertainVector:
     """Select elements by index or slice, keeping value/error pairing."""
     if isinstance(indices, slice):
-        return UncertainVector(x.values[indices], x.errors[indices], _validate=False)
+        return UncertainVector._unchecked(x.values[indices], x.errors[indices])
     idx = np.atleast_1d(np.asarray(indices))
     if idx.dtype == bool:
         if len(idx) != len(x):
@@ -226,16 +239,13 @@ def subset(x: UncertainVector, indices) -> UncertainVector:
         n = len(x)
         if ((idx >= n) | (idx < -n)).any():
             raise IndexOutOfBounds(f"index out of bounds for length {n}")
-    return UncertainVector(x.values[idx], x.errors[idx], _validate=False)
+    return UncertainVector._unchecked(x.values[idx], x.errors[idx])
 
 
 def concat(xs: Iterable[UncertainVector]) -> UncertainVector:
     """Join vectors end to end."""
     xs = [as_uncertain(x) for x in xs]
     if not xs:
-        return UncertainVector([], [], _validate=False)
-    return UncertainVector(
-        np.concatenate([x.values for x in xs]),
-        np.concatenate([x.errors for x in xs]),
-        _validate=False,
-    )
+        return UncertainVector._unchecked([], [])
+    return UncertainVector._unchecked(np.concatenate([x.values for x in xs]),
+                                      np.concatenate([x.errors for x in xs]))

@@ -6,7 +6,8 @@ class ErrpropError(Exception):
 
 
 class NegativeError(ErrpropError, ValueError):
-    """A supplied standard uncertainty is negative."""
+    """A supplied standard uncertainty is negative, infinite, or NaN on a
+    value that is not NaN."""
 
 
 class LengthMismatch(ErrpropError, ValueError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 from .core import UncertainScalar, UncertainVector
-from .exceptions import ParseError
+from .exceptions import NegativeError, ParseError
 
 __all__ = ["Notation", "format_value", "parse_value", "format_column"]
 
@@ -70,7 +70,7 @@ def _bare(v: float) -> str:
     if math.isinf(v):
         return "Inf" if v > 0 else "-Inf"
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"  # exact for these; keeps the sign of -0.0
     return repr(v)
 
 
@@ -118,15 +118,20 @@ def format_value(value: float, error: float, notation: Notation = Notation()) ->
 
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
 _EXP = r"[eE][+-]?\d+"
+_NUMERAL = rf"{_NUM}(?:{_EXP})?"
 
 _PAREN_RE = re.compile(
     rf"\s*(?P<val>{_NUM})\((?P<unc>\d+\.\d*|\.\d+|\d+)\)(?P<exp>{_EXP})?\s*$"
 )
 _PM_RE = re.compile(
-    rf"\s*(?P<lp>\()?\s*(?P<val>{_NUM}(?:{_EXP})?)\s*(?:±|\+/-)\s*"
-    rf"(?P<unc>{_NUM}(?:{_EXP})?)\s*(?(lp)\))(?P<exp>{_EXP})?\s*$"
+    rf"\s*(?P<lp>\()?\s*(?P<val>{_NUMERAL})\s*(?:±|\+/-)\s*"
+    rf"(?P<unc>{_NUMERAL})\s*(?(lp)\))(?P<exp>{_EXP})?\s*$"
 )
-_BARE_RE = re.compile(rf"\s*(?P<val>{_NUM}(?:{_EXP})?)\s*$")
+_BARE_RE = re.compile(rf"\s*(?P<val>{_NUMERAL})\s*$")
+# the two texts format_value writes for a NaN pair
+_NAN_RE = re.compile(r"\s*NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)\s*$")
+# a plain number cell: a bare numeral, or inf or nan in any case
+_PLAIN_RE = re.compile(rf"{_NUMERAL}|[+-]?(?:inf|nan)", re.IGNORECASE)
 
 
 def parse_value(s: str) -> UncertainScalar:
@@ -135,7 +140,10 @@ def parse_value(s: str) -> UncertainScalar:
     Accepted forms: "5.00(5)" (parenthesis, last-digit referenced),
     "5.00(0.05)" (parenthesis, absolute), "5.00 ± 0.05" (plus-minus,
     "+/-" also accepted), each with an optional exponent suffix, or a
-    bare numeral (error 0).
+    bare numeral (error 0).  "NaN(NaN)" and "NaN ± NaN", which
+    format_value writes for a NaN pair, read back as that pair.  A pair
+    the UncertainScalar constructor rejects is a ParseError at the
+    uncertainty.
     """
     m = _PAREN_RE.match(s)
     if m:
@@ -148,23 +156,24 @@ def parse_value(s: str) -> UncertainScalar:
             # digits referred to the last decimals of the value
             decimals = len(val.split(".")[1]) if "." in val else 0
             e = Decimal(int(unc)).scaleb(expn - decimals)
-        return UncertainScalar(float(v), float(e))
-    m = _PM_RE.match(s)
-    if m:
+    elif m := _PM_RE.match(s):
         exp = m.group("exp")
         expn = int(exp[1:]) if exp else 0
         e = Decimal(m.group("unc")).scaleb(expn)
-        if e < 0:
-            raise ParseError("negative uncertainty", m.start("unc"))
         v = Decimal(m.group("val")).scaleb(expn)
-        return UncertainScalar(float(v), float(e))
-    m = _BARE_RE.match(s)
-    if m:
+    elif m := _BARE_RE.match(s):
         return UncertainScalar(float(m.group("val")), 0.0)
-    # diagnostics: report the first character that no form can start with
-    stripped = s.lstrip()
-    pos = len(s) - len(stripped)
-    raise ParseError(f"unrecognized measurement syntax {s!r}", pos)
+    elif _NAN_RE.match(s):
+        return UncertainScalar(math.nan, math.nan)
+    else:
+        # diagnostics: report the first character that no form can start with
+        stripped = s.lstrip()
+        pos = len(s) - len(stripped)
+        raise ParseError(f"unrecognized measurement syntax {s!r}", pos)
+    try:
+        return UncertainScalar(float(v), float(e))
+    except NegativeError as exc:
+        raise ParseError(str(exc), m.start("unc")) from None
 
 
 def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[str]:

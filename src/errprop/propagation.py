@@ -91,8 +91,9 @@ def _term(deriv, err):
     return np.where(err == 0.0, 0.0, np.abs(deriv) * err)
 
 
-def _nan_where_value_nan(values, errors):
-    return np.where(np.isnan(values), np.nan, errors)
+def _result(values, errors) -> UncertainVector:
+    # every function here returns through this: a NaN value carries a NaN error
+    return UncertainVector._unchecked(values, np.where(np.isnan(values), np.nan, errors))
 
 
 def propagate_unary(fn: str, x) -> UncertainVector:
@@ -109,8 +110,7 @@ def propagate_unary(fn: str, x) -> UncertainVector:
     with np.errstate(all="ignore"):
         values = f(x.values)
         errors = _term(fp(x.values), x.errors)
-    errors = _nan_where_value_nan(values, errors)
-    return UncertainVector(values, errors, _validate=False)
+    return _result(values, errors)
 
 
 def _broadcast(x: UncertainVector, y: UncertainVector):
@@ -118,10 +118,10 @@ def _broadcast(x: UncertainVector, y: UncertainVector):
         return x, y
     if len(x) == 1:
         rep = lambda a: np.repeat(a, len(y))
-        return UncertainVector(rep(x.values), rep(x.errors), _validate=False), y
+        return UncertainVector._unchecked(rep(x.values), rep(x.errors)), y
     if len(y) == 1:
         rep = lambda a: np.repeat(a, len(x))
-        return x, UncertainVector(rep(y.values), rep(y.errors), _validate=False)
+        return x, UncertainVector._unchecked(rep(y.values), rep(y.errors))
     raise LengthMismatch(f"operand lengths {len(x)} and {len(y)}")
 
 
@@ -141,8 +141,7 @@ def propagate_binary(fn: str, x, y) -> UncertainVector:
         tx = _term(dfdx(x.values, y.values), x.errors)
         ty = _term(dfdy(x.values, y.values), y.errors)
         errors = np.hypot(tx, ty)
-    errors = _nan_where_value_nan(values, errors)
-    return UncertainVector(values, errors, _validate=False)
+    return _result(values, errors)
 
 
 def propagate_general(jacobian, covariance, *, sym_rtol: float = 1e-12) -> np.ndarray:
@@ -170,11 +169,7 @@ def propagate_general(jacobian, covariance, *, sym_rtol: float = 1e-12) -> np.nd
 def cumulative_sum(x) -> UncertainVector:
     """Running sums; errors accumulate in quadrature."""
     x = as_uncertain(x)
-    return UncertainVector(
-        np.cumsum(x.values),
-        np.sqrt(np.cumsum(x.errors**2)),
-        _validate=False,
-    )
+    return _result(np.cumsum(x.values), np.sqrt(np.cumsum(x.errors**2)))
 
 
 def cumulative_prod(x) -> UncertainVector:
@@ -191,8 +186,7 @@ def cumulative_prod(x) -> UncertainVector:
             pv, pe = pv * v, float(np.hypot(_term(v, pe), _term(pv, e)))
             values[i] = pv
             errors[i] = pe
-    errors = _nan_where_value_nan(values, errors)
-    return UncertainVector(values, errors, _validate=False)
+    return _result(values, errors)
 
 
 def diff(x) -> UncertainVector:
@@ -200,8 +194,4 @@ def diff(x) -> UncertainVector:
     x = as_uncertain(x)
     if len(x) < 2:
         raise TooShort("diff needs at least 2 elements")
-    return UncertainVector(
-        np.diff(x.values),
-        np.hypot(x.errors[:-1], x.errors[1:]),
-        _validate=False,
-    )
+    return _result(np.diff(x.values), np.hypot(x.errors[:-1], x.errors[1:]))

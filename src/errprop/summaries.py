@@ -41,7 +41,7 @@ def _nonempty(x: UncertainVector, what: str) -> UncertainVector:
 def total(x) -> UncertainScalar:
     """Sum of all elements; error is the quadrature of the element errors."""
     x = _nonempty(as_uncertain(x), "sum")
-    return UncertainScalar(
+    return UncertainScalar._unchecked(
         float(np.sum(x.values)),
         float(np.sqrt(np.sum(x.errors**2))),
     )
@@ -83,18 +83,18 @@ def weighted_mean(x, weights) -> UncertainScalar:
     value = float(np.sum(w * x.values) / wsum)
     werr = float(np.sum(w * x.errors) / wsum)
     if n == 1:
-        return UncertainScalar(value, werr)
+        return UncertainScalar._unchecked(value, werr)
     wsem = float(
         math.sqrt(np.sum(w * (x.values - value) ** 2) * n / (wsum * (n - 1)))
         / math.sqrt(n)
     )
-    return UncertainScalar(value, max(wsem, werr))
+    return UncertainScalar._unchecked(value, max(wsem, werr))
 
 
 def median(x) -> UncertainScalar:
     """Sample median; error is sqrt(pi/2) times the mean's error."""
     x = _nonempty(as_uncertain(x), "median")
-    return UncertainScalar(
+    return UncertainScalar._unchecked(
         float(np.median(x.values)),
         MEDIAN_FACTOR * mean(x).error,
     )
@@ -117,4 +117,4 @@ def maximum(x) -> UncertainScalar:
 def value_range(x) -> UncertainScalar:
     """max - min, extremal errors combined in quadrature."""
     lo, hi = minimum(x), maximum(x)
-    return UncertainScalar(hi.value - lo.value, math.hypot(lo.error, hi.error))
+    return UncertainScalar._unchecked(hi.value - lo.value, math.hypot(lo.error, hi.error))

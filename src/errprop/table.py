@@ -18,7 +18,7 @@ import numpy as np
 from .core import UncertainScalar, UncertainVector, as_uncertain, make_uncertain, subset
 from .exceptions import ErrpropError, ParseError
 from .expr import parse_expr, eval_uncertain
-from .formatting import Notation, _bare, format_column, parse_value
+from .formatting import _PLAIN_RE, Notation, _bare, format_column, parse_value
 from . import summaries
 
 __all__ = ["Table", "read_csv", "attach_errors", "derive_column", "summarize"]
@@ -68,9 +68,10 @@ class Table:
 def read_csv(stream) -> Table:
     """Read an RFC-4180 CSV with a header row into a Table.
 
-    A column whose every cell float() reads ("2", "1e-3", "inf", "NaN")
-    becomes a float array; else one whose every cell parse_value reads
-    becomes an UncertainVector; anything else stays text.
+    A column whose every cell is a bare numeral of parse_value's grammar,
+    or inf or nan in any case ("2", "1e-3", "-Inf", "NaN"), becomes a
+    float array; else one whose every cell parse_value reads becomes an
+    UncertainVector; anything else stays text.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -97,17 +98,16 @@ def read_csv(stream) -> Table:
 
 
 def _classify(cells: list[str]):
-    # Every bare numeral parse_value accepts, float() accepts too, so a
-    # column of plain numbers is never taken for an uncertain one.
-    try:
+    # checked first, so a column of plain numbers is never taken for an
+    # uncertain one; float() alone would also read "1_000" and "infinity"
+    if all(map(_PLAIN_RE.fullmatch, cells)):
         return np.array([float(c) for c in cells], dtype=float)
-    except ValueError:
-        pass
     try:
         parsed = [parse_value(c) for c in cells]
     except ParseError:
         return cells
-    return UncertainVector([p.value for p in parsed], [p.error for p in parsed])
+    # parse_value checked every pair
+    return UncertainVector._unchecked([p.value for p in parsed], [p.error for p in parsed])
 
 
 def attach_errors(table: Table, column: str, *, absolute=None, relative=None,

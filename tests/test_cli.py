@@ -40,6 +40,20 @@ def test_eval_bad_expression_is_exit_2(capsys):
     assert err
 
 
+def test_eval_infinite_uncertainty_in_input_and_result(capsys):
+    code, out, err = run(capsys, "eval", "x", "x=1 ± 1e999")
+    assert code == 2
+    assert out == ""
+    assert "finite and nonnegative" in err and "(position 4)" in err
+    # a result may carry an infinite or a NaN uncertainty
+    assert run(capsys, "eval", "sqrt(x)", "x=0(1)")[:2] == (0, "0(Inf)\n")
+    code, out, _ = run(capsys, "eval", "x^y + 1", "x=-2.0(1)", "y=2.0(1)",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == 5.0 and math.isnan(doc["error"])
+
+
 @pytest.mark.parametrize("expr, position", [
     ("(" * 3000 + "x" + ")" * 3000, 100),
     ("0" + "-" * 3000 + "x", 102),
@@ -174,6 +188,37 @@ def test_table_nonfinite_numeric_cells(tmp_path, capsys):
     assert back[0] == math.inf and math.isnan(back[1])
 
 
+def test_table_numeral_grammar(tmp_path, capsys):
+    # float() reads "1_000" and "infinity"; a numeric cell is a bare numeral,
+    # or inf or nan in any case
+    src = tmp_path / "t.csv"
+    src.write_text("id,b,c\n1_000,-INF,infinity\n2_5,Nan,1\n")
+    code, out, _ = run(capsys, "table", str(src), "--format", "csv")
+    assert code == 0
+    assert out == "id,b,c\n1_000,-Inf,infinity\n2_5,NaN,1\n"
+    back = read_csv(out).columns
+    assert isinstance(back["id"], list) and isinstance(back["c"], list)
+    assert isinstance(back["b"], np.ndarray)
+
+
+@pytest.mark.parametrize("notation, nan_cell", [
+    ("parenthesis", "NaN(NaN)"), ("plus-minus", "NaN ± NaN"),
+])
+def test_table_nan_rows_roundtrip(tmp_path, capsys, notation, nan_cell):
+    src = tmp_path / "t.csv"
+    src.write_text("x\n4(1)\n-4(1)\n")
+    code, out, _ = run(capsys, "table", str(src), "--derive", "r=sqrt(x)",
+                       "--notation", notation, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[2].endswith("," + nan_cell)
+    r = read_csv(out).columns["r"]
+    assert np.isnan(r.values[1]) and np.isnan(r.errors[1]) and r.values[0] == 2.0
+    src.write_text(out)
+    code, out, _ = run(capsys, "table", str(src), "--derive", "q=r*2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["4(1),2.0(3),4.0(6)", "-4(1),NaN(NaN),NaN(NaN)"]
+
+
 plain_floats = (st.floats() | st.integers(10**16, 10**300).map(float)
                 | st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, 1e300, -0.0]))
 
@@ -188,8 +233,10 @@ def test_table_numeric_column_roundtrip(tmp_path, capsys, values):
     assert code == 0
     back = read_csv(out).columns["a"]
     assert isinstance(back, np.ndarray)
-    # NaN equals NaN here, and -0.0 equals 0
+    # NaN equals NaN here, and -0.0 equals 0, so compare the sign apart
     np.testing.assert_array_equal(back, np.array(values))
+    numbers = ~np.isnan(back)
+    assert (np.signbit(back) == np.signbit(values))[numbers].all()
 
 
 def test_table_summarize(tmp_path, capsys):
@@ -252,6 +299,16 @@ def test_plot_writes_deterministic_svg(tmp_path, capsys):
     assert svg.count('class="pt"') == 20
 
 
+def test_plot_takes_no_output_flags(tmp_path):
+    src = tmp_path / "pts.csv"
+    src.write_text("x,y\n1,2\n")
+    for flag in (["--format", "json"], ["--notation", "plus-minus"], ["--digits", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", str(src), "--x", "x", "--y", "y",
+                  "-o", str(tmp_path / "o.svg"), *flag])
+        assert exc.value.code == 2
+
+
 def test_plot_requires_uncertain_columns(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("x,y\n1,2\n")
@@ -266,3 +323,25 @@ def test_plot_missing_column_is_exit_2(tmp_path, capsys):
     code = main(["plot", str(src), "--rel-error", "x=0.1", "--x", "x",
                  "--y", "nope", "-o", str(tmp_path / "o.svg")])
     assert code == 2
+
+
+# expressions that mostly parse, and any text over the expression alphabet
+expressions = st.recursive(
+    st.sampled_from(["x", "y", "z", "0", "1", "2.5", "1e999", "1e-3"]),
+    lambda inner: st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", "**", ","]),
+                            inner).map("".join)
+    | st.tuples(st.sampled_from(["-{}", "({})", "sqrt({})", "ln({})", "sin({})",
+                                 "atan2({}, x)", "sqrt({}, x)", "nope({})"]),
+                inner).map(lambda t: t[0].format(t[1])),
+    max_leaves=8,
+) | st.text("xyz0123456789.e+-*/^(), $", max_size=20)
+bindings = st.sampled_from(["1(1)", "0(1)", "-2(0.1)", "1 ± 1e999", "1e999", "5.00(5)"])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=expressions, x=bindings, y=bindings)
+def test_exit_codes_are_0_or_2(capsys, expr, x, y):
+    env = [f"x={x}", f"y={y}"]
+    assert run(capsys, "eval", "--", expr, *env)[0] in (0, 2)
+    assert run(capsys, "mc", "--samples", "200", "--", expr, *env)[0] in (0, 2)

@@ -1,8 +1,9 @@
+import math
 import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from errprop import (
     concat,
@@ -12,8 +13,9 @@ from errprop import (
     make_uncertain,
     subset,
 )
-from errprop.core import UncertainScalar, UncertainVector
+from errprop.core import _OPERATORS, UncertainScalar, UncertainVector
 from errprop.exceptions import IndexOutOfBounds, LengthMismatch, NegativeError
+from errprop.expr import eval_uncertain, parse_expr
 from errprop.propagation import propagate_binary, propagate_unary
 
 
@@ -42,6 +44,33 @@ def test_nan_error_requires_nan_value():
     assert np.isnan(x.values[0]) and np.isnan(x.errors[0])
     with pytest.raises(NegativeError):
         make_uncertain([1.0], [float("nan")])
+    with pytest.raises(NegativeError):
+        make_uncertain([1.0], [math.inf])
+
+
+def test_constructors_apply_one_rule():
+    # finite and nonnegative, or NaN on a NaN value
+    for value, error in [(1.0, math.nan), (1.0, math.inf), (1.0, -0.1), (math.inf, math.inf)]:
+        with pytest.raises(NegativeError):
+            UncertainScalar(value, error)
+        with pytest.raises(NegativeError, match="at index 1"):
+            UncertainVector([0.0, value], [0.0, error])
+    for value, error in [(math.nan, math.nan), (math.nan, 0.1), (math.inf, 1.0), (1.0, -0.0)]:
+        s = UncertainScalar(value, error)
+        assert np.array_equal([s.value, s.error], [value, error], equal_nan=True)
+        assert UncertainVector([value], [error]) == s.as_vector()
+
+
+def test_results_are_not_checked_again():
+    # a finite value with a NaN error feeds the next operation
+    out = (UncertainScalar(-2, 0.1) ** UncertainScalar(2, 0.1)) + 1
+    assert out.value == 5.0 and math.isnan(out.error)
+    vec = (make_uncertain([-2], [0.1]) ** make_uncertain([2], [0.1])) + 1
+    assert vec.values[0] == 5.0 and math.isnan(vec.errors[0])
+    # an infinite error, at the scalar and the vector level
+    root = propagate_unary("sqrt", UncertainScalar(0.0, 1.0))
+    assert (root[0] * 2).error == math.inf
+    assert list(root) == [root[0]] and concat([root, root])[1] == root[0]
 
 
 def test_get_errors_eighths():
@@ -145,3 +174,38 @@ def test_unary_operators_apply_the_rule(fn, op):
     v = make_uncertain([-0.5, 0.0, 3.1], [0.01, 0.1, 0.2])
     assert op(a) == propagate_unary(fn, a)[0]
     assert op(v) == propagate_unary(fn, v)
+
+
+# operands that are results: an infinite error (sqrt at 0), a NaN error on
+# a finite value (negative base to an uncertain power), a NaN pair
+RESULT_EXPRS = ["x", "sqrt(x - x)", "(-x)^y", "sqrt(-x)", "x / (x - x)"]
+
+
+def _same(s, v):
+    return np.array_equal([s.value, s.error], [v.values[0], v.errors[0]], equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exprs=st.tuples(*[st.sampled_from(RESULT_EXPRS)] * 2),
+    xs=st.tuples(*[st.floats(0.5, 3.0)] * 2),
+    es=st.tuples(*[st.sampled_from([0.0, 0.1, 1.0])] * 2),
+    plain=st.sampled_from([2.5, 0.0, -1.0]),
+)
+def test_scalar_operators_equal_length_1_vector_operators(exprs, xs, es, plain):
+    scalars, vectors = [], []
+    for src, x, e in zip(exprs, xs, es):
+        ast = parse_expr(src)
+        scalars.append(eval_uncertain(ast, {"x": UncertainScalar(x, e),
+                                            "y": UncertainScalar(2.0, 0.1)}))
+        vectors.append(eval_uncertain(ast, {"x": make_uncertain([x], [e]),
+                                            "y": make_uncertain([2.0], [0.1])}))
+    (a, b), (va, vb) = scalars, vectors
+    for names in _OPERATORS.values():
+        op = getattr(operator, names[0].strip("_"))
+        if len(names) == 1:
+            assert _same(op(a), op(va))
+            continue
+        assert _same(op(a, b), op(va, vb))
+        assert _same(op(a, plain), op(va, plain))
+        assert _same(op(plain, a), op(plain, va))

@@ -100,6 +100,25 @@ def test_parse_errors(bad):
         parse_value(bad)
 
 
+@pytest.mark.parametrize("s", ["NaN(NaN)", "NaN ± NaN", " NaN +/- NaN "])
+def test_parse_nan_pair(s):
+    out = parse_value(s)
+    assert math.isnan(out.value) and math.isnan(out.error)
+    assert format_value(out.value, out.error, PAREN) == "NaN(NaN)"
+
+
+def test_parse_rejects_what_the_rule_rejects():
+    # the error points at the uncertainty
+    for bad, position in [("1 ± 1e999", 4), ("1(1)e999", 2), ("5 ± -1", 4)]:
+        with pytest.raises(ParseError, match=rf"\(position {position}\)"):
+            parse_value(bad)
+
+
+def test_negative_zero_keeps_its_sign():
+    assert format_value(-0.0, 0.0) == "-0"
+    assert math.copysign(1.0, parse_value("-0").value) == -1.0
+
+
 def test_format_column_paper_row():
     x = make_uncertain(range(1, 9), [i / 30 for i in range(1, 9)])
     assert format_column(x, PAREN) == [

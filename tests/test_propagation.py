@@ -137,6 +137,16 @@ def test_division_paper_regression():
     assert out.errors[0] == pytest.approx(0.0509902, abs=1e-7)
 
 
+def test_nan_value_carries_nan_error():
+    # every function that returns a vector applies it, cumulative_sum and diff too
+    x = make_uncertain([1.0, math.nan, 2.0], [0.1, 0.1, 0.1])
+    for out in (cumulative_sum(x), diff(x), cumulative_prod(x),
+                propagate_unary("neg", x), propagate_binary("add", x, 1.0)):
+        assert np.array_equal(np.isnan(out.values), np.isnan(out.errors))
+        assert np.isnan(out.values).any()
+    assert cumulative_sum(x).errors[0] == 0.1
+
+
 def test_self_addition_is_independent():
     x = make_uncertain([1.0], [1 / 30])
     out = propagate_binary("add", x, x)
