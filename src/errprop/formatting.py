@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 from .core import UncertainScalar, UncertainVector
 from .exceptions import NegativeError, ParseError
@@ -23,9 +22,6 @@ __all__ = ["Notation", "format_value", "parse_value", "format_column"]
 
 PARENTHESIS = "parenthesis"
 PLUS_MINUS = "plus-minus"
-
-# single point of control for the tie-break rule
-_ROUNDING = ROUND_HALF_UP
 
 # fixed-notation window for the value's display exponent
 _SCI_LO, _SCI_HI = -4, 15
@@ -41,22 +37,31 @@ class Notation:
     def __post_init__(self):
         if self.style not in (PARENTHESIS, PLUS_MINUS):
             raise ValueError(f"unknown notation style {self.style!r}")
-        if self.digits < 1:
-            raise ValueError("digits must be >= 1")
+        # a float64 has at most 17 significant digits; more would be padding
+        if not 1 <= self.digits <= 17:
+            raise ValueError("digits must be between 1 and 17")
 
 
-def _round_at(d: Decimal, place: int) -> Decimal:
-    """Round half-away-from-zero to the 10**place digit."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        return d.quantize(Decimal(1).scaleb(place), rounding=_ROUNDING)
+def _digits(x: float) -> tuple[int, int]:
+    """abs(x) as n * 10**k, exactly, from the shortest repr digits of x."""
+    mantissa, _, exp = repr(float(x)).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return abs(int(whole + frac)), int(exp or 0) - len(frac)
 
 
-def _fixed(d: Decimal, place: int) -> str:
-    if place <= 0:
-        return f"{d:.{-place}f}"
-    # significant to a place above the ones digit: print with trailing zeros
-    return f"{d:.0f}"
+def _round(n: int, k: int, place: int) -> int:
+    """n * 10**k rounded half away from zero, in units of 10**place."""
+    unit = 10 ** max(place - k, 0)
+    q, r = divmod(n * 10 ** max(k - place, 0), unit)
+    return q + (2 * r >= unit)
+
+
+def _fixed(sign: str, q: int, place: int) -> str:
+    """Text of sign * q * 10**place with max(0, -place) decimals."""
+    if place >= 0:
+        return f"{sign}{q * 10**place}"
+    s = str(q).rjust(1 - place, "0")
+    return f"{sign}{s[:place]}.{s[place:]}"
 
 
 def _bare(v: float) -> str:
@@ -84,36 +89,32 @@ def format_value(value: float, error: float, notation: Notation = Notation()) ->
         v, e = _bare(value), _bare(error)
         return f"{v}({e})" if notation.style == PARENTHESIS else f"{v} ± {e}"
 
-    dv = Decimal(repr(float(value)))
-    de = Decimal(repr(float(error)))
-    exp10 = dv.adjusted() if value != 0 else 0
-    scientific = not (_SCI_LO <= exp10 <= _SCI_HI)
-    if not scientific:
-        exp10 = 0
-    mv = dv.scaleb(-exp10)
-    me = de.scaleb(-exp10)
+    # a value that rounds to zero keeps the sign bit: -0.0001 -> -0.000(1)
+    sign = "-" if math.copysign(1.0, value) < 0 else ""
+    nv, kv = _digits(value)
+    ne, ke = _digits(error)
+    lead = len(str(nv)) - 1 + kv if value != 0 else 0  # leading digit's power
+    scientific = not (_SCI_LO <= lead <= _SCI_HI)
+    exp10 = lead if scientific else 0
 
-    place = me.adjusted() - (notation.digits - 1)
-    re_ = _round_at(me, place)
-    if re_.adjusted() > me.adjusted():
+    place = len(str(ne)) - 1 + ke - (notation.digits - 1)
+    qe = _round(ne, ke, place)
+    if len(str(qe)) > notation.digits:
         # decade carry: 0.099 -> 0.1 at one digit
         place += 1
-        re_ = _round_at(me, place)
-    rv = _round_at(mv, place)
+        qe = _round(ne, ke, place)
+    qv = _round(nv, kv, place)
+    place -= exp10  # from here on, relative to the displayed mantissa
+    value_text = _fixed(sign, qv, place)
 
     suffix = f"e{exp10:+03d}" if scientific else ""
     if notation.style == PARENTHESIS:
-        if place <= 0:
-            unc = str(int(re_.scaleb(-place)))
-        else:
-            unc = f"{re_:.0f}"
-        return f"{_fixed(rv, place)}({unc}){suffix}"
+        return f"{value_text}({qe * 10 ** max(place, 0)}){suffix}"
     if scientific:
         # uncertainty printed as its own scientific number
-        ue = re_.adjusted() + exp10
-        um = re_.scaleb(-re_.adjusted())
-        return f"{_fixed(rv, place)}{suffix} ± {um}e{ue:+03d}"
-    return f"{_fixed(rv, place)} ± {_fixed(re_, place)}"
+        top = len(str(qe)) - 1
+        return f"{value_text}{suffix} ± {_fixed('', qe, -top)}e{top + place + exp10:+03d}"
+    return f"{value_text} ± {_fixed('', qe, place)}"
 
 
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
@@ -134,6 +135,12 @@ _NAN_RE = re.compile(r"\s*NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)\s*$")
 _PLAIN_RE = re.compile(rf"{_NUMERAL}|[+-]?(?:inf|nan)", re.IGNORECASE)
 
 
+def _scaled(numeral: str, expn: int) -> float:
+    """The float nearest to numeral * 10**expn (float() rounds correctly)."""
+    mantissa, _, exp = numeral.lower().partition("e")
+    return float(f"{mantissa}e{int(exp or 0) + expn}")
+
+
 def parse_value(s: str) -> UncertainScalar:
     """Parse any machine-readable GUM notation back to a value/error pair.
 
@@ -145,22 +152,15 @@ def parse_value(s: str) -> UncertainScalar:
     the UncertainScalar constructor rejects is a ParseError at the
     uncertainty.
     """
-    m = _PAREN_RE.match(s)
+    m = _PAREN_RE.match(s) or _PM_RE.match(s)
     if m:
         val, unc, exp = m.group("val", "unc", "exp")
         expn = int(exp[1:]) if exp else 0
-        v = Decimal(val).scaleb(expn)
-        if "." in unc:
-            e = Decimal(unc).scaleb(expn)
-        else:
+        v = _scaled(val, expn)
+        if m.re is _PAREN_RE and "." not in unc:
             # digits referred to the last decimals of the value
-            decimals = len(val.split(".")[1]) if "." in val else 0
-            e = Decimal(int(unc)).scaleb(expn - decimals)
-    elif m := _PM_RE.match(s):
-        exp = m.group("exp")
-        expn = int(exp[1:]) if exp else 0
-        e = Decimal(m.group("unc")).scaleb(expn)
-        v = Decimal(m.group("val")).scaleb(expn)
+            expn -= len(val.partition(".")[2])
+        e = _scaled(unc, expn)
     elif m := _BARE_RE.match(s):
         return UncertainScalar(float(m.group("val")), 0.0)
     elif _NAN_RE.match(s):
@@ -171,7 +171,7 @@ def parse_value(s: str) -> UncertainScalar:
         pos = len(s) - len(stripped)
         raise ParseError(f"unrecognized measurement syntax {s!r}", pos)
     try:
-        return UncertainScalar(float(v), float(e))
+        return UncertainScalar(v, e)
     except NegativeError as exc:
         raise ParseError(str(exc), m.start("unc")) from None
 
@@ -179,6 +179,6 @@ def parse_value(s: str) -> UncertainScalar:
 def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[str]:
     """Format each element independently (no column-wide exponent alignment)."""
     return [
-        format_value(float(v), float(e), notation)
-        for v, e in zip(x.values, x.errors)
+        format_value(v, e, notation)
+        for v, e in zip(x.values.tolist(), x.errors.tolist())
     ]

@@ -169,7 +169,9 @@ def propagate_general(jacobian, covariance, *, sym_rtol: float = 1e-12) -> np.nd
 def cumulative_sum(x) -> UncertainVector:
     """Running sums; errors accumulate in quadrature."""
     x = as_uncertain(x)
-    return _result(np.cumsum(x.values), np.sqrt(np.cumsum(x.errors**2)))
+    with np.errstate(all="ignore"):
+        values, errors = np.cumsum(x.values), np.sqrt(np.cumsum(x.errors**2))
+    return _result(values, errors)
 
 
 def cumulative_prod(x) -> UncertainVector:
@@ -194,4 +196,6 @@ def diff(x) -> UncertainVector:
     x = as_uncertain(x)
     if len(x) < 2:
         raise TooShort("diff needs at least 2 elements")
-    return _result(np.diff(x.values), np.hypot(x.errors[:-1], x.errors[1:]))
+    with np.errstate(all="ignore"):
+        values, errors = np.diff(x.values), np.hypot(x.errors[:-1], x.errors[1:])
+    return _result(values, errors)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from errprop.cli import main
+from errprop.formatting import parse_value
 from errprop.table import read_csv
 
 
@@ -110,6 +111,37 @@ def test_eval_env_fallback(capsys, monkeypatch):
     # flags win over the environment
     code, out, _ = run(capsys, "eval", "x", "x=5.00(5)", "--notation", "parenthesis")
     assert out == "5.00(5)\n"
+
+
+def test_digits_range(capsys, monkeypatch):
+    assert run(capsys, "eval", "--digits", "17", "x", "x=1(1)")[:2] == (
+        0, "1.0000000000000000(10000000000000000)\n")
+    code, out, err = run(capsys, "eval", "--digits", "18", "x", "x=1(1)")
+    assert (code, out) == (2, "") and "digits must be between 1 and 17" in err
+    monkeypatch.setenv("ERRPROP_DIGITS", "18")
+    code, out, err = run(capsys, "eval", "x", "x=1(1)")
+    assert (code, out) == (2, "") and "digits must be between 1 and 17" in err
+
+
+@pytest.mark.parametrize("binding, pair", [
+    ("x=1 ± 1e-310", (1.0, 1e-310)), ("x=1e308 ± 1", (1e308, 1.0)),
+])
+@pytest.mark.parametrize("notation", ["parenthesis", "plus-minus"])
+def test_eval_far_apart_value_and_uncertainty(capsys, binding, pair, notation):
+    # the value is printed to the uncertainty's place, however many digits
+    code, out, _ = run(capsys, "eval", "--notation", notation, "x", binding)
+    assert code == 0
+    out = parse_value(out)
+    assert (out.value, out.error) == pair
+
+
+@pytest.mark.parametrize("binding, position", [
+    ("x=1(1)e99999999", 2), ("x=1 ± 1e99999999", 4),
+])
+def test_eval_exponent_past_float_range_is_exit_2(capsys, binding, position):
+    code, out, err = run(capsys, "eval", "x", binding)
+    assert (code, out) == (2, "")
+    assert f"(position {position})" in err
 
 
 def test_table_derive(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ PM = Notation("plus-minus")
         (100.02147, 0.00035, Notation("parenthesis", 2), "100.02147(35)"),
         (0.0, 0.05, PAREN, "0.00(5)"),
         (-2.5, 0.25, PAREN, "-2.5(3)"),
+        # a value that rounds to zero keeps its sign
+        (-0.0001, 0.001, PAREN, "-0.000(1)"),
+        (-0.0, 0.1, PM, "-0.0 ± 0.1"),
     ],
 )
 def test_format_examples(v, e, notation, expected):
@@ -62,6 +66,8 @@ def test_notation_validation():
         Notation("prose")
     with pytest.raises(ValueError):
         Notation(digits=0)
+    with pytest.raises(ValueError):
+        Notation(digits=18)
 
 
 @pytest.mark.parametrize(
@@ -80,6 +86,8 @@ def test_notation_validation():
         ("-0.76(9)", -0.76, 0.09),
         ("0.14(10)", 0.14, 0.10),
         ("1.0e2 ± 5", 100.0, 5.0),
+        # correctly rounded from all the digits: halfway plus a little
+        ("9007199254740993.0000000000000000000001 ± 1", 9007199254740994.0, 1.0),
     ],
 )
 def test_parse_examples(s, v, e):
@@ -109,7 +117,8 @@ def test_parse_nan_pair(s):
 
 def test_parse_rejects_what_the_rule_rejects():
     # the error points at the uncertainty
-    for bad, position in [("1 ± 1e999", 4), ("1(1)e999", 2), ("5 ± -1", 4)]:
+    for bad, position in [("1 ± 1e999", 4), ("1(1)e999", 2), ("5 ± -1", 4),
+                          ("1(1)e99999999", 2), ("1 ± 1e99999999", 4)]:
         with pytest.raises(ParseError, match=rf"\(position {position}\)"):
             parse_value(bad)
 
@@ -117,6 +126,64 @@ def test_parse_rejects_what_the_rule_rejects():
 def test_negative_zero_keeps_its_sign():
     assert format_value(-0.0, 0.0) == "-0"
     assert math.copysign(1.0, parse_value("-0").value) == -1.0
+
+
+def _reference_format(value, error, notation):
+    """format_value through Decimal, with enough precision for any float64 pair.
+
+    The widest pair, 1.8e308 against 5e-324, needs about 650 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        dv, de = Decimal(repr(value)), Decimal(repr(error))
+        exp10 = dv.adjusted() if value != 0 else 0
+        scientific = not (-4 <= exp10 <= 15)
+        if not scientific:
+            exp10 = 0
+        mv, me = dv.scaleb(-exp10), de.scaleb(-exp10)
+
+        def round_at(d, place):
+            return d.quantize(Decimal(1).scaleb(place), rounding=ROUND_HALF_UP)
+
+        def fixed(d, place):
+            return f"{d:.{-place}f}" if place <= 0 else f"{d:.0f}"
+
+        place = me.adjusted() - (notation.digits - 1)
+        re_ = round_at(me, place)
+        if re_.adjusted() > me.adjusted():
+            place += 1
+            re_ = round_at(me, place)
+        rv = round_at(mv, place)
+        suffix = f"e{exp10:+03d}" if scientific else ""
+        if notation.style == "parenthesis":
+            unc = str(int(re_.scaleb(-place))) if place <= 0 else f"{re_:.0f}"
+            return f"{fixed(rv, place)}({unc}){suffix}"
+        if scientific:
+            ue = re_.adjusted() + exp10
+            um = re_.scaleb(-re_.adjusted())
+            return f"{fixed(rv, place)}{suffix} ± {um}e{ue:+03d}"
+        return f"{fixed(rv, place)} ± {fixed(re_, place)}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    v=st.floats(allow_nan=False, allow_infinity=False),
+    e=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    digits=st.integers(1, 17),
+    style=st.sampled_from(["parenthesis", "plus-minus"]),
+)
+def test_format_matches_decimal_reference(v, e, digits, style):
+    n = Notation(style, digits)
+    assert format_value(v, e, n) == _reference_format(v, e, n)
+
+
+@pytest.mark.parametrize("v, e", [(1.0, 1e-310), (1e308, 1.0)])
+def test_far_apart_pair_reads_back(v, e):
+    # every digit down to the uncertainty's place is printed
+    for digits in range(1, 18):
+        for style in ("parenthesis", "plus-minus"):
+            out = parse_value(format_value(v, e, Notation(style, digits)))
+            assert (out.value, out.error) == (v, e)
 
 
 def test_format_column_paper_row():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ def test_diff_rule():
     assert out.errors[0] == pytest.approx(oracle.errors[0])
     with pytest.raises(TooShort):
         diff(make_uncertain([1.0], [0.1]))
+
+
+@pytest.mark.parametrize("fn, values", [
+    (cumulative_sum, [math.inf, -math.inf, math.inf]),
+    (diff, [math.inf, math.inf]),
+], ids=["cumulative_sum", "diff"])
+def test_inf_minus_inf_is_silent(fn, values):
+    # like every other rule: a NaN result, and no numpy floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fn(make_uncertain(values, 0.1))
+    assert math.isnan(out.values[-1]) and math.isnan(out.errors[-1])
 
 
 def test_zero_error_in_zero_error_out():
