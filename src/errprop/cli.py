@@ -149,7 +149,8 @@ def cmd_mc(args) -> int:
         pairs.append((f"mcm_q{q:g}", qv))
     pairs.append(("relative_gap", report.relative_gap))
     if args.out_format == "json":
-        print(json.dumps(dict(pairs)))
+        # JSON only: the text and CSV output keep their fields
+        print(json.dumps({**dict(pairs), "mcm_n_nonfinite": report.mcm.n_nonfinite}))
     elif args.out_format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow([k for k, _ in pairs])

@@ -135,10 +135,28 @@ _NAN_RE = re.compile(r"\s*NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)\s*$")
 _PLAIN_RE = re.compile(rf"{_NUMERAL}|[+-]?(?:inf|nan)", re.IGNORECASE)
 
 
+# an exponent's magnitude saturates here: a numeral would need about this
+# many digits to bring the number back into the float range
+_EXP_CAP = 10**19
+
+
+def _exponent(text: str) -> int:
+    """Value of an exponent's signed digits, its magnitude at most _EXP_CAP."""
+    if len(text) < 20:
+        return int(text)  # at most 19 digits: below the cap
+    digits = text.lstrip("+-")
+    # leading zeros add nothing, and int() reads at most 4,300 digits
+    first = next((i for i, c in enumerate(digits) if int(c)), len(digits))
+    n = min(int(digits[first:first + 20] or 0), _EXP_CAP)
+    return -n if text[0] == "-" else n
+
+
 def _scaled(numeral: str, expn: int) -> float:
     """The float nearest to numeral * 10**expn (float() rounds correctly)."""
     mantissa, _, exp = numeral.lower().partition("e")
-    return float(f"{mantissa}e{int(exp or 0) + expn}")
+    if exp:
+        expn += _exponent(exp)
+    return float(f"{mantissa}e{expn}")
 
 
 def parse_value(s: str) -> UncertainScalar:
@@ -155,7 +173,7 @@ def parse_value(s: str) -> UncertainScalar:
     m = _PAREN_RE.match(s) or _PM_RE.match(s)
     if m:
         val, unc, exp = m.group("val", "unc", "exp")
-        expn = int(exp[1:]) if exp else 0
+        expn = _exponent(exp[1:]) if exp else 0
         v = _scaled(val, expn)
         if m.re is _PAREN_RE and "." not in unc:
             # digits referred to the last decimals of the value

@@ -88,15 +88,61 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
         )
     if n_bad:
         out = out[finite]
-    med = float(np.median(out))
+    med, mad, quantiles = _order_stats(out, cfg.quantiles)
     return McResult(
         mean=float(np.mean(out)),
         sd=float(np.std(out, ddof=1)),
         median=med,
-        mad=float(MAD_SCALE * np.median(np.abs(out - med))),
-        quantile_values=tuple(float(q) for q in np.quantile(out, cfg.quantiles)),
+        mad=mad,
+        quantile_values=quantiles,
         n_nonfinite=n_bad,
     )
+
+
+def _order_stats(out: np.ndarray, quantiles: tuple) -> tuple[float, float, tuple]:
+    """Median, MAD and quantiles of finite draws, read off one sort.
+
+    The results are bitwise those of m = float(np.median(out)),
+    MAD_SCALE * np.median(np.abs(out - m)) and np.quantile(out,
+    quantiles), which make three selections and an n-length |out - m|.
+    """
+    s = np.sort(out)  # a copy: out keeps the draw order for the calls below
+    zeros = np.searchsorted(s, 0.0, "right") - np.searchsorted(s, 0.0, "left")
+    if zeros and 0 < np.signbit(out[out == 0]).sum() < zeros:
+        # -0.0 == 0.0: which zero numpy's selection puts at a rank is its
+        # own detail, and its sort may even turn one zero into the other,
+        # so draws with both zeros need the same calls for the same bits
+        med = float(np.median(out))
+        mad = np.median(np.abs(out - med))
+        qs = np.quantile(out, quantiles)
+    else:
+        lo, hi = (s.size - 1) // 2, s.size // 2 + 1  # the one or two middle ranks
+        med = float(np.median(s[lo:hi]))
+        mad = np.median([_kth_deviation(s, med, j) for j in range(lo, hi)])
+        qs = np.quantile(s, quantiles, overwrite_input=True)  # s is read last
+    return med, float(MAD_SCALE * mad), tuple(float(q) for q in qs)
+
+
+def _kth_deviation(s: np.ndarray, med: float, j: int) -> np.float64:
+    """The j-th smallest (from 0) of |s - med| for sorted s, in O(log n).
+
+    Split at k, the deviations form two ascending runs: |s[k-1] - med|,
+    |s[k-2] - med|, ... and |s[k] - med|, |s[k+1] - med|, ...  A binary
+    search finds how many of the j + 1 smallest the first run holds.
+    """
+    k = int(np.searchsorted(s, med))
+    lo, hi = max(0, j + 1 - (s.size - k)), min(j + 1, k)
+    while lo < hi:
+        a = (lo + hi) // 2
+        if abs(s[k - 1 - a] - med) < abs(s[k + j - a] - med):
+            lo = a + 1
+        else:
+            hi = a
+    # the last one taken from each run; the larger is the j-th smallest
+    taken = [abs(s[k - lo] - med)] if lo else []
+    if lo <= j:
+        taken.append(abs(s[k + j - lo] - med))
+    return max(taken)
 
 
 def compare_tsm_mcm(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> TsmMcmReport:

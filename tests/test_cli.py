@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from errprop import McConfig, mc_propagate, parse_expr
 from errprop.cli import main
 from errprop.formatting import parse_value
 from errprop.table import read_csv
@@ -137,6 +138,8 @@ def test_eval_far_apart_value_and_uncertainty(capsys, binding, pair, notation):
 
 @pytest.mark.parametrize("binding, position", [
     ("x=1(1)e99999999", 2), ("x=1 ± 1e99999999", 4),
+    pytest.param("x=1(1)e" + "1" * 5000, 2, id="paren-5000-digit-exponent"),
+    pytest.param("x=1 ± 1e" + "1" * 5000, 4, id="pm-5000-digit-exponent"),
 ])
 def test_eval_exponent_past_float_range_is_exit_2(capsys, binding, position):
     code, out, err = run(capsys, "eval", "x", binding)
@@ -314,6 +317,19 @@ def test_mc_linear_gap_small(capsys):
                        "--samples", "100000", "--seed", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["relative_gap"] < 0.01
+
+
+def test_mc_json_reports_dropped_draws(capsys):
+    args = ("mc", "ln(x)", "x=3(0.9)", "--samples", "100000", "--seed", "6")
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    n = json.loads(out)["mcm_n_nonfinite"]
+    assert 0 < n < 1000
+    cfg = McConfig(samples=100_000, seed=6)
+    assert n == mc_propagate(parse_expr("ln(x)"), {"x": parse_value("3(0.9)")}, cfg).n_nonfinite
+    # the field is JSON only
+    for fmt in ("csv", "text"):
+        assert "n_nonfinite" not in run(capsys, *args, "--format", fmt)[1]
 
 
 def test_plot_writes_deterministic_svg(tmp_path, capsys):

@@ -118,9 +118,45 @@ def test_parse_nan_pair(s):
 def test_parse_rejects_what_the_rule_rejects():
     # the error points at the uncertainty
     for bad, position in [("1 ± 1e999", 4), ("1(1)e999", 2), ("5 ± -1", 4),
-                          ("1(1)e99999999", 2), ("1 ± 1e99999999", 4)]:
+                          ("1(1)e99999999", 2), ("1 ± 1e99999999", 4),
+                          ("1(1)e" + "1" * 5000, 2), ("1 ± 1e" + "1" * 5000, 4)]:
         with pytest.raises(ParseError, match=rf"\(position {position}\)"):
             parse_value(bad)
+
+
+_ZEROS, _ONES = "0" * 4400, "1" * 5000
+
+
+@pytest.mark.parametrize("long, short", [
+    (f"1(1)e-{_ZEROS}1", "1(1)e-1"),
+    (f"(1 ± 1)e-{_ZEROS}1", "(1 ± 1)e-1"),
+    (f"1e-{_ZEROS}1 ± 1e+{_ZEROS}1", "1e-1 ± 1e+1"),
+    (f"1.5(2)e{'٠' * 4400}٢", "1.5(2)e2"),  # Arabic-Indic zeros and two
+    (f"1(1)e{_ONES}", "1(1)e99999999"),
+    (f"1(1)e-{_ONES}", "1(1)e-99999999"),
+    (f"1e{_ONES} ± 1", "1e99999999 ± 1"),
+    (f"1 ± 1e{_ONES}", "1 ± 1e99999999"),
+    (f"1 ± 1e-{_ONES}", "1 ± 1e-99999999"),
+    (f"1e{_ONES}", "1e99999999"),
+], ids=lambda s: s if len(s) < 20 else f"{s[:8]}...{s[-4:]}")
+def test_parse_long_exponent_reads_as_short(long, short):
+    # int() reads at most 4,300 digits; an exponent of any length reads
+    # as a short one with the same effect
+    def read(s):
+        try:
+            out = parse_value(s)
+        except ParseError as exc:
+            return exc.position
+        return [np.float64(x).tobytes() for x in (out.value, out.error)]
+
+    assert read(long) == read(short)
+
+
+def test_parse_long_exponent_values():
+    out = parse_value(f"1(1)e-{_ZEROS}1")
+    assert (out.value, out.error) == (0.1, 0.1)
+    out = parse_value(f"1(1)e-{_ONES}")
+    assert (out.value, out.error) == (0.0, 0.0)
 
 
 def test_negative_zero_keeps_its_sign():

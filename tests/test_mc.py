@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from errprop import McConfig, compare_tsm_mcm, mc_propagate, parse_expr
+from errprop import McConfig, compare_tsm_mcm, eval_numeric, mc_propagate, parse_expr
 from errprop.core import UncertainScalar
 from errprop.exceptions import NonFiniteSamples, UnboundVariable
+from errprop.mc import MAD_SCALE, _order_stats
 
 
 def xy_env():
@@ -118,3 +121,83 @@ def test_plain_numbers_in_env():
         McConfig(samples=10_000, seed=8),
     )
     assert out.mean == pytest.approx(6.0, abs=0.02)
+
+
+def _reference_order_stats(out, quantiles):
+    """Median, MAD and quantiles as three separate numpy calls on the draws."""
+    med = float(np.median(out))
+    return (
+        med,
+        float(MAD_SCALE * np.median(np.abs(out - med))),
+        tuple(float(q) for q in np.quantile(out, quantiles)),
+    )
+
+
+def _bits(*xs):
+    return [np.float64(x).tobytes() for x in xs]
+
+
+QUANTILES = (0.025, 0.25, 0.5, 0.975)
+# few distinct values make ties; both zeros and values near the float
+# limits make the signed zeros and overflowing deviations
+_POOL = [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 0.5, 5e-324, 1e308, -1e308]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(
+    st.sampled_from(_POOL) | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=80,
+))
+@example([7.0])
+@example([2.0, 2.0, 2.0, 2.0])  # all equal
+@example([1.0, 2.0, 3.0, 10.0])  # the median falls between two values
+@example([1.0, 2.0, 3.0])  # deviations tied across the two runs
+@example([0.0, -0.0, 0.0, 1.0])  # both zeros
+@example([1e308, 1.5e308])  # the median overflows
+def test_order_stats_bitwise_equal_to_numpy(values):
+    out = np.array(values)
+    with np.errstate(all="ignore"):  # overflow in either is the same overflow
+        got = _order_stats(out.copy(), QUANTILES)
+        want = _reference_order_stats(out, QUANTILES)
+    assert _bits(got[0], got[1], *got[2]) == _bits(want[0], want[1], *want[2])
+
+
+@pytest.mark.parametrize("expr, env, n", [
+    ("ln(x)", {"x": UncertainScalar(3, 0.9)}, 100_000),  # drops draws
+    ("x*k", {"x": UncertainScalar(0, 1), "k": 0}, 31),  # both zeros
+    ("x", {"x": UncertainScalar(1, 1)}, 20_000),
+    ("2", {}, 2),  # constant
+])
+def test_mc_propagate_bitwise_equal_to_reference(expr, env, n):
+    cfg = McConfig(samples=n, seed=6, quantiles=QUANTILES)
+    got = mc_propagate(parse_expr(expr), env, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    draws = {
+        name: rng.normal(float(getattr(env[name], "value", env[name])),
+                         float(getattr(env[name], "error", 0.0)), n)
+        for name in sorted(env)
+    }
+    out = np.broadcast_to(eval_numeric(parse_expr(expr), draws), n)
+    out = out[np.isfinite(out)]
+    assert got.n_nonfinite == n - out.size
+    assert (got.n_nonfinite > 0) == (expr == "ln(x)")
+    med, mad, qs = _reference_order_stats(out, QUANTILES)
+    assert _bits(got.mean, got.sd, got.median, got.mad, *got.quantile_values) == \
+        _bits(np.mean(out), np.std(out, ddof=1), med, mad, *qs)
+
+
+def test_mc_propagate_memory():
+    # draws, the output and evaluation temporaries: no further n-length array
+    n = 200_000
+    ast = parse_expr("sin(x)/y + ln(z)^2")
+    env = {"x": UncertainScalar(2.0, 0.005), "y": UncertainScalar(2.5, 0.01),
+           "z": UncertainScalar(5.0, 0.01)}
+    cfg = McConfig(samples=n, seed=3)
+    mc_propagate(ast, env, cfg)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        mc_propagate(ast, env, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * n
