@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,13 @@ def _parse_vars(pairs: list[str]) -> dict:
     return env
 
 
+def _print_json(obj: dict) -> None:
+    """Print obj as one line of RFC 8259 JSON: a non-finite float among its
+    values, which JSON cannot hold, is written as null."""
+    print(json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                      for k, v in obj.items()}, allow_nan=False))
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--notation", choices=["parenthesis", "plus-minus"],
                    default=None, help="output notation (default: parenthesis)")
@@ -57,9 +65,7 @@ def cmd_eval(args) -> int:
     result = eval_uncertain(ast, env)
     formatted = format_value(result.value, result.error, notation)
     if args.out_format == "json":
-        print(json.dumps(
-            {"value": result.value, "error": result.error, "formatted": formatted}
-        ))
+        _print_json({"value": result.value, "error": result.error, "formatted": formatted})
     elif args.out_format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["value", "error", "formatted"])
@@ -111,7 +117,7 @@ def cmd_table(args) -> int:
         tbl.derive_column(table, name, expression)
     rows = table.formatted(notation)
     if args.out_format == "json":
-        print(json.dumps({"columns": table.names, "rows": rows}))
+        _print_json({"columns": table.names, "rows": rows})
     elif args.out_format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(table.names)
@@ -150,7 +156,7 @@ def cmd_mc(args) -> int:
     pairs.append(("relative_gap", report.relative_gap))
     if args.out_format == "json":
         # JSON only: the text and CSV output keep their fields
-        print(json.dumps({**dict(pairs), "mcm_n_nonfinite": report.mcm.n_nonfinite}))
+        _print_json({**dict(pairs), "mcm_n_nonfinite": report.mcm.n_nonfinite})
     elif args.out_format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow([k for k, _ in pairs])

@@ -7,6 +7,10 @@ decimal place.  Rounding is half-away-from-zero; if rounding the
 uncertainty carries it into the next decade (0.099 -> 0.1), the display
 place is recomputed from the carried uncertainty and both numbers are
 re-rounded.  A zero uncertainty prints the bare value.
+
+Both directions also work a column at a time, with the same grammar and
+the same rounding: parse_column reads a whole column in one regex pass,
+and format_column prints each pair through the routine format_value uses.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from .core import UncertainScalar, UncertainVector
 from .exceptions import NegativeError, ParseError
 
-__all__ = ["Notation", "format_value", "parse_value", "format_column"]
+__all__ = ["Notation", "format_value", "parse_value", "format_column", "parse_column"]
 
 PARENTHESIS = "parenthesis"
 PLUS_MINUS = "plus-minus"
@@ -81,13 +85,71 @@ def _bare(v: float) -> str:
 
 def format_value(value: float, error: float, notation: Notation = Notation()) -> str:
     """Render a value/uncertainty pair in the requested notation."""
+    # repr of a numpy float64 is "np.float64(...)"; the text is read off repr
+    return _text(float(value), float(error), notation.style, notation.digits)
+
+
+def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[str]:
+    """Format each element independently (no column-wide exponent alignment)."""
+    style, digits = notation.style, notation.digits
+    return [_text(v, e, style, digits)
+            for v, e in zip(x.values.tolist(), x.errors.tolist())]
+
+
+def _text(v: float, e: float, style: str, digits: int) -> str:
+    """Text of one pair: f-strings at the uncertainty's place, or _exact
+    where the two could differ.
+
+    The f-strings round the binary value half to even; _exact rounds the
+    shortest repr digits half away from zero.  While a unit of the place
+    is above 1e-12 of both numbers (so digits <= 12), float error stays
+    below 1e-3 of a unit, and the two part only where a number's digits
+    lie exactly half a unit off the place: pairs within 0.01 of a unit of
+    such a half go to _exact.  So do places outside [-290, 290],
+    scientific values whose rounding carries into the next decade (_exact
+    prints "10.0e+20" where an f-string prints "1.0e+21"), and zero, NaN
+    and infinite numbers.
+    """
+    av = abs(v)
+    if 0 < e < math.inf and 0 < av < math.inf and digits <= 12:
+        # the uncertainty at `digits` significant digits, after any carry
+        es = format(e, f".{digits - 1}e")
+        mantissa, _, top = es.partition("e")
+        place = int(top) - digits + 1
+        scale = 10.0 ** -place if -290 <= place <= 290 else math.inf
+        x, y = av * scale, e * scale  # within 1e-3 of the exact quotients
+        if x < 1e12 and abs(x % 1.0 - 0.5) > 0.01 and abs(y % 1.0 - 0.5) > 0.01:
+            qe = mantissa.replace(".", "")
+            if 1e-4 <= av < 1e16:  # repr(v) has no exponent: [_SCI_LO, _SCI_HI]
+                if place < 0:
+                    value_text = format(v, f".{-place}f")  # keeps the sign of -0.000
+                else:
+                    value_text = format(round(v, -place), ".0f")
+                    qe += "0" * place
+                if style == PARENTHESIS:
+                    return f"{value_text}({qe})"
+                return f"{value_text} ± {format(e, f'.{-place}f') if place < 0 else qe}"
+            exp = repr(v).partition("e")[2]
+            decimals = int(exp) - place
+            if decimals >= 0:
+                s = format(v, f".{decimals}e")
+                mv, _, sexp = s.partition("e")
+                if sexp == exp:  # no carry into the next decade
+                    if style == PARENTHESIS:
+                        return f"{mv}({qe})e{exp}"
+                    return f"{s} ± {es}"
+    return _exact(v, e, style, digits)
+
+
+def _exact(value: float, error: float, style: str, digits: int) -> str:
+    """Text of one pair by integer arithmetic on the shortest repr digits."""
     if math.isnan(value) or math.isnan(error):
-        return "NaN(NaN)" if notation.style == PARENTHESIS else "NaN ± NaN"
+        return "NaN(NaN)" if style == PARENTHESIS else "NaN ± NaN"
     if error == 0:
         return _bare(value)
     if math.isinf(value) or math.isinf(error):
         v, e = _bare(value), _bare(error)
-        return f"{v}({e})" if notation.style == PARENTHESIS else f"{v} ± {e}"
+        return f"{v}({e})" if style == PARENTHESIS else f"{v} ± {e}"
 
     # a value that rounds to zero keeps the sign bit: -0.0001 -> -0.000(1)
     sign = "-" if math.copysign(1.0, value) < 0 else ""
@@ -97,18 +159,22 @@ def format_value(value: float, error: float, notation: Notation = Notation()) ->
     scientific = not (_SCI_LO <= lead <= _SCI_HI)
     exp10 = lead if scientific else 0
 
-    place = len(str(ne)) - 1 + ke - (notation.digits - 1)
+    place = len(str(ne)) - 1 + ke - (digits - 1)
     qe = _round(ne, ke, place)
-    if len(str(qe)) > notation.digits:
+    if len(str(qe)) > digits:
         # decade carry: 0.099 -> 0.1 at one digit
         place += 1
         qe = _round(ne, ke, place)
+    if place > 290 and math.isinf(float(f"{qe}e{place}")):
+        # rounded past the largest float, it would read back as infinite:
+        # show the shortest repr digits, which read back as the float itself
+        qe, place = ne, ke
     qv = _round(nv, kv, place)
     place -= exp10  # from here on, relative to the displayed mantissa
     value_text = _fixed(sign, qv, place)
 
     suffix = f"e{exp10:+03d}" if scientific else ""
-    if notation.style == PARENTHESIS:
+    if style == PARENTHESIS:
         return f"{value_text}({qe * 10 ** max(place, 0)}){suffix}"
     if scientific:
         # uncertainty printed as its own scientific number
@@ -121,16 +187,22 @@ _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
 _EXP = r"[eE][+-]?\d+"
 _NUMERAL = rf"{_NUM}(?:{_EXP})?"
 
-_PAREN_RE = re.compile(
-    rf"\s*(?P<val>{_NUM})\((?P<unc>\d+\.\d*|\.\d+|\d+)\)(?P<exp>{_EXP})?\s*$"
-)
-_PM_RE = re.compile(
-    rf"\s*(?P<lp>\()?\s*(?P<val>{_NUMERAL})\s*(?:±|\+/-)\s*"
-    rf"(?P<unc>{_NUMERAL})\s*(?(lp)\))(?P<exp>{_EXP})?\s*$"
-)
-_BARE_RE = re.compile(rf"\s*(?P<val>{_NUMERAL})\s*$")
-# the two texts format_value writes for a NaN pair
-_NAN_RE = re.compile(r"\s*NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)\s*$")
+# The measurement forms.  The parenthesis and plus-minus forms each have
+# (value, uncertainty, exponent) groups, and the plus-minus form also
+# captures its opening parenthesis, lp; a bare numeral has one group; the
+# two texts format_value writes for a NaN pair have none.
+_PAREN = rf"({_NUM})\((\d+\.\d*|\.\d+|\d+)\)({_EXP})?"
+_PM = (rf"(?P<lp>\()?\s*({_NUMERAL})\s*(?:±|\+/-)\s*({_NUMERAL})\s*(?(lp)\))"
+       rf"({_EXP})?")
+_NAN = r"NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)"
+# One measurement cell.  It starts at the start of the text or after a NUL
+# and ends before a NUL or at the end, so parse_value fullmatches a cell
+# and parse_column finds all the cells of a NUL-joined column in one scan.
+# Its groups: value, uncertainty, exponent of the parenthesis form, then
+# lp, value, uncertainty, exponent of the plus-minus form, then the bare
+# numeral.
+_MEASUREMENT_RE = re.compile(
+    rf"(?:^|(?<=\x00))\s*(?:{_PAREN}|{_PM}|({_NUMERAL})|{_NAN})\s*(?=\x00|\Z)")
 # a plain number cell: a bare numeral, or inf or nan in any case
 _PLAIN_RE = re.compile(rf"{_NUMERAL}|[+-]?(?:inf|nan)", re.IGNORECASE)
 
@@ -153,10 +225,26 @@ def _exponent(text: str) -> int:
 
 def _scaled(numeral: str, expn: int) -> float:
     """The float nearest to numeral * 10**expn (float() rounds correctly)."""
-    mantissa, _, exp = numeral.lower().partition("e")
-    if exp:
+    if "e" in numeral or "E" in numeral:
+        numeral, _, exp = numeral.lower().partition("e")
         expn += _exponent(exp)
-    return float(f"{mantissa}e{expn}")
+    return float(f"{numeral}e{expn}") if expn else float(numeral)
+
+
+def _pair(pval: str, punc: str, pexp: str, lp: str,
+          mval: str, munc: str, mexp: str, bare: str) -> tuple[float, float]:
+    """The value and uncertainty of one match of _MEASUREMENT_RE."""
+    if pval:
+        expn = _exponent(pexp[1:]) if pexp else 0
+        # digits without a point refer to the last decimals of the value
+        shift = 0 if "." in punc else len(pval.partition(".")[2])
+        return _scaled(pval, expn), _scaled(punc, expn - shift)
+    if mval:
+        expn = _exponent(mexp[1:]) if mexp else 0
+        return _scaled(mval, expn), _scaled(munc, expn)
+    if bare:
+        return float(bare), 0.0
+    return math.nan, math.nan
 
 
 def parse_value(s: str) -> UncertainScalar:
@@ -170,33 +258,37 @@ def parse_value(s: str) -> UncertainScalar:
     the UncertainScalar constructor rejects is a ParseError at the
     uncertainty.
     """
-    m = _PAREN_RE.match(s) or _PM_RE.match(s)
-    if m:
-        val, unc, exp = m.group("val", "unc", "exp")
-        expn = _exponent(exp[1:]) if exp else 0
-        v = _scaled(val, expn)
-        if m.re is _PAREN_RE and "." not in unc:
-            # digits referred to the last decimals of the value
-            expn -= len(val.partition(".")[2])
-        e = _scaled(unc, expn)
-    elif m := _BARE_RE.match(s):
-        return UncertainScalar(float(m.group("val")), 0.0)
-    elif _NAN_RE.match(s):
-        return UncertainScalar(math.nan, math.nan)
-    else:
+    m = _MEASUREMENT_RE.fullmatch(s)
+    if not m:
         # diagnostics: report the first character that no form can start with
         stripped = s.lstrip()
         pos = len(s) - len(stripped)
         raise ParseError(f"unrecognized measurement syntax {s!r}", pos)
     try:
-        return UncertainScalar(v, e)
+        return UncertainScalar(*_pair(*m.groups()))
     except NegativeError as exc:
-        raise ParseError(str(exc), m.start("unc")) from None
+        unc = 2 if m.group(1) else 6  # the uncertainty's group in either form
+        raise ParseError(str(exc), m.start(unc)) from None
 
 
-def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[str]:
-    """Format each element independently (no column-wide exponent alignment)."""
-    return [
-        format_value(v, e, notation)
-        for v, e in zip(x.values.tolist(), x.errors.tolist())
-    ]
+def parse_column(cells: list[str]) -> UncertainVector | None:
+    """Read a column of measurement cells in one pass.
+
+    The cells are joined with NUL and one scan of parse_value's own
+    pattern reads them all; each pair gets the bits parse_value gives
+    it, and the UncertainVector constructor checks the column once, so
+    an illegal pair raises NegativeError.  Returns None when some cell
+    is in no form parse_value reads; a cell holding a NUL is one.
+    """
+    text = "\x00".join(cells)
+    # a text column fails at its first cell, before the whole pass
+    if text.count("\x00") != len(cells) - 1 or not _MEASUREMENT_RE.match(text):
+        return None
+    values, errors = [], []
+    for m in _MEASUREMENT_RE.finditer(text):  # one match at a time, not all at once
+        v, e = _pair(*m.groups())
+        values.append(v)
+        errors.append(e)
+    if len(values) != len(cells):
+        return None
+    return UncertainVector(values, errors)

@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import UncertainScalar, UncertainVector, as_uncertain, make_uncertain, subset
-from .exceptions import ErrpropError, ParseError
+from .exceptions import ErrpropError, NegativeError
 from .expr import parse_expr, eval_uncertain
-from .formatting import _PLAIN_RE, Notation, _bare, format_column, parse_value
+# parse_value stays a name here, where perfbench/spans.py traces it,
+# though read_csv reads every column through parse_column
+from .formatting import (_PLAIN_RE, Notation, _bare, format_column, parse_column,
+                         parse_value)
 from . import summaries
 
 __all__ = ["Table", "read_csv", "attach_errors", "derive_column", "summarize"]
@@ -71,7 +74,9 @@ def read_csv(stream) -> Table:
     A column whose every cell is a bare numeral of parse_value's grammar,
     or inf or nan in any case ("2", "1e-3", "-Inf", "NaN"), becomes a
     float array; else one whose every cell parse_value reads becomes an
-    UncertainVector; anything else stays text.
+    UncertainVector; anything else stays text.  An uncertain column is
+    read whole by parse_column, with the bits parse_value would give each
+    cell.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -103,11 +108,10 @@ def _classify(cells: list[str]):
     if all(map(_PLAIN_RE.fullmatch, cells)):
         return np.array([float(c) for c in cells], dtype=float)
     try:
-        parsed = [parse_value(c) for c in cells]
-    except ParseError:
+        column = parse_column(cells)
+    except NegativeError:
         return cells
-    # parse_value checked every pair
-    return UncertainVector._unchecked([p.value for p in parsed], [p.error for p in parsed])
+    return cells if column is None else column
 
 
 def attach_errors(table: Table, column: str, *, absolute=None, relative=None,

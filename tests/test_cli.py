@@ -53,7 +53,7 @@ def test_eval_infinite_uncertainty_in_input_and_result(capsys):
                        "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["value"] == 5.0 and math.isnan(doc["error"])
+    assert doc["value"] == 5.0 and doc["error"] is None  # JSON has no NaN
 
 
 @pytest.mark.parametrize("expr, position", [
@@ -319,6 +319,35 @@ def test_mc_linear_gap_small(capsys):
     assert json.loads(out)["relative_gap"] < 0.01
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259 does."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_has_no_nonfinite_numbers(capsys):
+    # a number JSON cannot hold is null; the text field still shows it
+    code, out, _ = run(capsys, "eval", "sqrt(x)", "x=0(1)", "--format", "json")
+    assert code == 0
+    assert _strict_json(out) == {"value": 0.0, "error": None, "formatted": "0(Inf)"}
+    code, out, _ = run(capsys, "mc", "1/x", "x=0(1)", "--samples", "1000", "--format", "json")
+    assert code == 0
+    doc = _strict_json(out)
+    assert [k for k, v in doc.items() if v is None] == ["tsm_value", "tsm_sd", "relative_gap"]
+    assert all(math.isfinite(v) for v in doc.values() if v is not None)
+
+
+def test_eval_uncertainty_past_float_range_reads_back(capsys):
+    # rounded to one digit the uncertainty would be 2e308, which is infinite
+    for notation in ("parenthesis", "plus-minus"):
+        code, out, _ = run(capsys, "eval", "x", "x=5e-324 ± 1.7976931348623157e308",
+                           "--notation", notation)
+        assert code == 0
+        back = parse_value(out)
+        assert (back.value, back.error) == (0.0, 1.7976931348623157e308)
+
+
 def test_mc_json_reports_dropped_draws(capsys):
     args = ("mc", "ln(x)", "x=3(0.9)", "--samples", "100000", "--seed", "6")
     code, out, _ = run(capsys, *args, "--format", "json")
@@ -393,3 +422,13 @@ def test_exit_codes_are_0_or_2(capsys, expr, x, y):
     env = [f"x={x}", f"y={y}"]
     assert run(capsys, "eval", "--", expr, *env)[0] in (0, 2)
     assert run(capsys, "mc", "--samples", "200", "--", expr, *env)[0] in (0, 2)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=expressions, x=bindings, y=bindings)
+def test_eval_json_is_strict_json(capsys, expr, x, y):
+    code, out, _ = run(capsys, "eval", "--format", "json", "--", expr, f"x={x}", f"y={y}")
+    if code == 0:
+        doc = _strict_json(out)
+        assert set(doc) == {"value", "error", "formatted"}

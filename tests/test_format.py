@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from errprop import Notation, format_column, format_value, make_uncertain, parse_value
+from errprop.core import UncertainVector
 from errprop.exceptions import ParseError
 
 PAREN = Notation("parenthesis")
@@ -189,6 +190,9 @@ def _reference_format(value, error, notation):
         if re_.adjusted() > me.adjusted():
             place += 1
             re_ = round_at(me, place)
+        if math.isinf(float(re_.scaleb(exp10))):
+            # past the largest float: the shortest repr digits instead
+            re_, place = me, me.as_tuple().exponent
         rv = round_at(mv, place)
         suffix = f"e{exp10:+03d}" if scientific else ""
         if notation.style == "parenthesis":
@@ -277,3 +281,97 @@ def test_displayed_uncertainty_sig_digits(e, digits):
     # magnitude-only zero (e.g. "500" at 1 digit, "10" after a carry)
     assert len(stripped) >= digits
     assert stripped[digits:].strip("0") == ""
+
+
+@pytest.mark.parametrize("v, e, notation, expected", [
+    # the repr digits lie on a half unit, the binary value below or on it:
+    # rounding is half away from zero on the digits, as everywhere else
+    (0.125, 0.01, PAREN, "0.13(1)"),
+    (0.35, 0.1, PAREN, "0.4(1)"),
+    (0.15, 0.1, PAREN, "0.2(1)"),
+    (-0.05, 0.1, PAREN, "-0.1(1)"),
+    (2.5, 1.0, PM, "3 ± 1"),
+    (-2.5, 1.0, PAREN, "-3(1)"),
+    (25.0, 10.0, PM, "30 ± 10"),
+    (2500.0, 1000.0, PAREN, "3000(1000)"),
+    (1.0, 0.25, PAREN, "1.0(3)"),
+    (1.0, 0.35, PM, "1.0 ± 0.4"),
+    # a scientific mantissa that carries into the next decade
+    (9.96e20, 1e19, PAREN, "10.0(1)e+20"),
+    (9.96e20, 1e19, PM, "10.0e+20 ± 1e+19"),
+    (-9.96e-20, 1e-21, PM, "-10.0e-20 ± 1e-21"),
+    # 17 digits reach below the precision of 0.1: its repr digits, padded
+    (1e-10, 0.1, Notation("parenthesis", 17), "1.0000000(10000000000000000)e-10"),
+])
+def test_half_units_and_carries(v, e, notation, expected):
+    assert format_value(v, e, notation) == expected
+    assert format_column(make_uncertain([v], [e]), notation) == [expected]
+
+
+def _reference_bare(v):
+    if math.isnan(v):
+        return "NaN"
+    if math.isinf(v):
+        return "Inf" if v > 0 else "-Inf"
+    if v == int(v) and abs(v) < 1e16:
+        return f"{v:.0f}"
+    return repr(v)
+
+
+def _reference_format_column(x, notation):
+    """format_column one pair at a time, through the Decimal reference."""
+    paren = notation.style == "parenthesis"
+    out = []
+    for v, e in zip(x.values.tolist(), x.errors.tolist()):
+        if math.isnan(v) or math.isnan(e):
+            out.append("NaN(NaN)" if paren else "NaN ± NaN")
+        elif e == 0:
+            out.append(_reference_bare(v))
+        elif math.isinf(v) or math.isinf(e):
+            bv, be = _reference_bare(v), _reference_bare(e)
+            out.append(f"{bv}({be})" if paren else f"{bv} ± {be}")
+        else:
+            out.append(_reference_format(v, e, notation))
+    return out
+
+
+# digits whose repr lies on a half unit (0.15, 2.5, ...) and mantissas
+# that carry into the next decade when rounded (9.96 -> 10.0)
+_TIES = [0.15, 2.5, 25.0, 2500.0, 0.05, 0.125, 0.35, 9.5, 0.095, 4.5]
+_CARRIES = [9.96, 99.96, 0.0996, 9.9996]
+_SPECIAL = [0.0, 5e-324, 1e23, 1.7976931348623157e308, math.inf]
+_scaled_digits = st.builds(lambda m, k: m * 10.0 ** k,
+                           st.sampled_from(_TIES + _CARRIES), st.integers(-25, 25))
+_magnitudes = (st.floats(min_value=0.0, allow_nan=False) | st.sampled_from(_SPECIAL)
+               | _scaled_digits | st.floats(1e-6, 1e6))
+_values = st.builds(lambda m, s: math.copysign(m, s), _magnitudes, st.sampled_from([1.0, -1.0]))
+_pairs = (st.tuples(_values, _magnitudes)
+          | st.tuples(_values, _values.map(abs).map(lambda m: m / 10.0 ** 3))
+          | st.just((math.nan, math.nan)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=st.lists(_pairs, max_size=12), digits=st.integers(1, 17),
+       style=st.sampled_from(["parenthesis", "plus-minus"]))
+def test_format_column_matches_reference(pairs, digits, style):
+    notation = Notation(style, digits)
+    # results may carry infinite errors, so build the column unchecked
+    x = UncertainVector._unchecked([v for v, _ in pairs], [e for _, e in pairs])
+    expected = _reference_format_column(x, notation)
+    assert format_column(x, notation) == expected
+    assert [format_value(v, e, notation) for v, e in pairs] == expected
+
+
+@pytest.mark.parametrize("notation", [PAREN, PM, Notation("plus-minus", 16)],
+                         ids=["parenthesis", "plus-minus", "plus-minus-16"])
+def test_uncertainty_rounded_past_float_range_reads_back(notation):
+    # rounded to one digit, 1.797...e308 would be 2e308, past the largest
+    # float: it prints its shortest repr digits instead
+    e = 1.7976931348623157e308
+    text = format_value(5e-324, e, notation)
+    out = parse_value(text)
+    assert (out.value, out.error) == (0.0, e)
+    if notation.style == "plus-minus":
+        assert text == "0e-324 ± 1.7976931348623157e+308"
+    # 1.7e308 at one digit is 2e308 too; a fixed value prints it in full
+    assert parse_value(format_value(1.0, 1.7e308, notation)).error == 1.7e308
