@@ -17,7 +17,7 @@ import sys
 from . import table as tbl
 from .exceptions import ErrpropError
 from .expr import eval_uncertain, parse_expr
-from .formatting import Notation, format_value, parse_value
+from .formatting import Notation, format_value, parse_number, parse_value
 from .mc import McConfig, compare_tsm_mcm
 from .svg import scatter_svg
 
@@ -28,7 +28,11 @@ def _notation(args) -> Notation:
     style = args.notation or os.environ.get("ERRPROP_NOTATION", "parenthesis")
     digits = args.digits
     if digits is None:
-        digits = int(os.environ.get("ERRPROP_DIGITS", "1"))
+        text = os.environ.get("ERRPROP_DIGITS", "1")
+        try:
+            digits = int(text)
+        except ValueError:
+            raise ErrpropError(f"ERRPROP_DIGITS must be an integer, got {text!r}") from None
     return Notation(style=style, digits=digits)
 
 
@@ -92,9 +96,9 @@ def _load_table(args) -> tbl.Table:
         with open(args.input, newline="") as fh:
             table = tbl.read_csv(fh)
     for col, val in _col_spec(args.rel_error, "rel-error"):
-        tbl.attach_errors(table, col, relative=float(val))
+        tbl.attach_errors(table, col, relative=parse_number(val))
     for col, val in _col_spec(args.abs_error, "abs-error"):
-        tbl.attach_errors(table, col, absolute=float(val))
+        tbl.attach_errors(table, col, absolute=parse_number(val))
     for col, val in _col_spec(args.error_col, "error-col"):
         tbl.attach_errors(table, col, error_column=val)
     return table

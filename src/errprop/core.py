@@ -27,7 +27,9 @@ __all__ = [
 
 
 def _frozen(a) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    # a read-only view: a caller's own float64 array stays writable, and
+    # shares its memory with the vector
+    a = np.atleast_1d(np.asarray(a, dtype=float)).view()
     a.setflags(write=False)
     return a
 

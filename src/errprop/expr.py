@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import UncertainScalar, UncertainVector, as_uncertain
 from .exceptions import LexError, ParseError, UnboundVariable, UnknownFunction
-from .formatting import _bare
+from .formatting import _NUMERAL, _bare
 from .propagation import (
     BINARY_RULES,
     UNARY_RULES,
@@ -83,7 +83,7 @@ class Token:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"(?P<num>{_NUMERAL})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9.]*)"
     r"|(?P<op>\*\*|[-+*/^(),])"
 )

@@ -19,10 +19,13 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import UncertainScalar, UncertainVector
 from .exceptions import NegativeError, ParseError
 
-__all__ = ["Notation", "format_value", "parse_value", "format_column", "parse_column"]
+__all__ = ["Notation", "format_value", "parse_value", "format_column", "parse_column",
+           "parse_number"]
 
 PARENTHESIS = "parenthesis"
 PLUS_MINUS = "plus-minus"
@@ -149,6 +152,8 @@ def _exact(value: float, error: float, style: str, digits: int) -> str:
         return _bare(value)
     if math.isinf(value) or math.isinf(error):
         v, e = _bare(value), _bare(error)
+        if style == PARENTHESIS and "e" in e:  # "Inf(1e-05)" would not read back
+            e = _fixed("", *_digits(error))
         return f"{v}({e})" if style == PARENTHESIS else f"{v} ± {e}"
 
     # a value that rounds to zero keeps the sign bit: -0.0001 -> -0.000(1)
@@ -183,28 +188,27 @@ def _exact(value: float, error: float, style: str, digits: int) -> str:
     return f"{value_text} ± {_fixed('', qe, place)}"
 
 
-_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
+# One number at every text boundary, the text _bare writes: a finite
+# numeral, or inf or nan in any letter case, with an optional sign.
+_DIGITS = r"(?:\d+(?:\.\d*)?|\.\d+)"
 _EXP = r"[eE][+-]?\d+"
-_NUMERAL = rf"{_NUM}(?:{_EXP})?"
+_NUMERAL = rf"{_DIGITS}(?:{_EXP})?"
+_NONFINITE = r"(?i:inf|nan)"
+_NUMBER = rf"[+-]?(?:{_NUMERAL}|{_NONFINITE})"
+_MANTISSA = rf"(?:{_DIGITS}|{_NONFINITE})"
 
-# The measurement forms.  The parenthesis and plus-minus forms each have
-# (value, uncertainty, exponent) groups, and the plus-minus form also
-# captures its opening parenthesis, lp; a bare numeral has one group; the
-# two texts format_value writes for a NaN pair have none.
-_PAREN = rf"({_NUM})\((\d+\.\d*|\.\d+|\d+)\)({_EXP})?"
-_PM = (rf"(?P<lp>\()?\s*({_NUMERAL})\s*(?:±|\+/-)\s*({_NUMERAL})\s*(?(lp)\))"
+# The measurement forms, with the groups _pair takes.  A cell starts at the
+# start of the text or after a NUL and ends before a NUL or at the end, so
+# parse_value fullmatches a cell and parse_column finds all the cells of a
+# NUL-joined column in one scan.
+_PAREN = rf"([+-]?{_MANTISSA})\(({_MANTISSA})\)({_EXP})?"
+_PM = (rf"(?P<lp>\()?\s*({_NUMBER})\s*(?:±|\+/-)\s*({_NUMBER})\s*(?(lp)\))"
        rf"({_EXP})?")
-_NAN = r"NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)"
-# One measurement cell.  It starts at the start of the text or after a NUL
-# and ends before a NUL or at the end, so parse_value fullmatches a cell
-# and parse_column finds all the cells of a NUL-joined column in one scan.
-# Its groups: value, uncertainty, exponent of the parenthesis form, then
-# lp, value, uncertainty, exponent of the plus-minus form, then the bare
-# numeral.
 _MEASUREMENT_RE = re.compile(
-    rf"(?:^|(?<=\x00))\s*(?:{_PAREN}|{_PM}|({_NUMERAL})|{_NAN})\s*(?=\x00|\Z)")
-# a plain number cell: a bare numeral, or inf or nan in any case
-_PLAIN_RE = re.compile(rf"{_NUMERAL}|[+-]?(?:inf|nan)", re.IGNORECASE)
+    rf"(?:^|(?<=\x00))\s*(?:{_PAREN}|{_PM}|({_NUMBER}))\s*(?=\x00|\Z)")
+_NUMBER_RE = re.compile(_NUMBER)
+# a NUL-joined column of bare numbers, each cell exactly one number
+_NUMBERS_RE = re.compile(rf"{_NUMBER}(?:\x00{_NUMBER})*")
 
 
 # an exponent's magnitude saturates here: a numeral would need about this
@@ -228,7 +232,8 @@ def _scaled(numeral: str, expn: int) -> float:
     if "e" in numeral or "E" in numeral:
         numeral, _, exp = numeral.lower().partition("e")
         expn += _exponent(exp)
-    return float(f"{numeral}e{expn}") if expn else float(numeral)
+    finite = not numeral[-1].isalpha()  # inf and nan take no exponent
+    return float(f"{numeral}e{expn}") if expn and finite else float(numeral)
 
 
 def _pair(pval: str, punc: str, pexp: str, lp: str,
@@ -242,9 +247,7 @@ def _pair(pval: str, punc: str, pexp: str, lp: str,
     if mval:
         expn = _exponent(mexp[1:]) if mexp else 0
         return _scaled(mval, expn), _scaled(munc, expn)
-    if bare:
-        return float(bare), 0.0
-    return math.nan, math.nan
+    return float(bare), 0.0
 
 
 def parse_value(s: str) -> UncertainScalar:
@@ -253,17 +256,14 @@ def parse_value(s: str) -> UncertainScalar:
     Accepted forms: "5.00(5)" (parenthesis, last-digit referenced),
     "5.00(0.05)" (parenthesis, absolute), "5.00 ± 0.05" (plus-minus,
     "+/-" also accepted), each with an optional exponent suffix, or a
-    bare numeral (error 0).  "NaN(NaN)" and "NaN ± NaN", which
-    format_value writes for a NaN pair, read back as that pair.  A pair
+    bare number (error 0); inf and nan are numbers ("NaN(NaN)").  A pair
     the UncertainScalar constructor rejects is a ParseError at the
     uncertainty.
     """
     m = _MEASUREMENT_RE.fullmatch(s)
     if not m:
         # diagnostics: report the first character that no form can start with
-        stripped = s.lstrip()
-        pos = len(s) - len(stripped)
-        raise ParseError(f"unrecognized measurement syntax {s!r}", pos)
+        raise ParseError(f"unrecognized measurement syntax {s!r}", len(s) - len(s.lstrip()))
     try:
         return UncertainScalar(*_pair(*m.groups()))
     except NegativeError as exc:
@@ -271,24 +271,34 @@ def parse_value(s: str) -> UncertainScalar:
         raise ParseError(str(exc), m.start(unc)) from None
 
 
-def parse_column(cells: list[str]) -> UncertainVector | None:
-    """Read a column of measurement cells in one pass.
+def parse_number(s: str) -> float:
+    """The float of a text that is one bare number, as a plain cell is."""
+    m = _NUMBER_RE.match(s)
+    if not m or m.end() != len(s):
+        raise ParseError(f"not a number: {s!r}", m.end() if m else 0)
+    return float(s)
 
-    The cells are joined with NUL and one scan of parse_value's own
-    pattern reads them all; each pair gets the bits parse_value gives
-    it, and the UncertainVector constructor checks the column once, so
-    an illegal pair raises NegativeError.  Returns None when some cell
-    is in no form parse_value reads; a cell holding a NUL is one.
-    """
+
+def parse_column(cells: list[str]) -> np.ndarray | UncertainVector | None:
+    """Read a column of cells, joined with NUL, in one pass: a float array
+    when one match of the bare-number pattern covers the text; else an
+    UncertainVector from one scan of parse_value's pattern, with the bits
+    parse_value gives each pair, checked once; else None, as parse_value
+    would raise on some cell (a cell holding a NUL is one)."""
+    if not cells:
+        return np.empty(0)
     text = "\x00".join(cells)
     # a text column fails at its first cell, before the whole pass
     if text.count("\x00") != len(cells) - 1 or not _MEASUREMENT_RE.match(text):
         return None
+    if _NUMBERS_RE.fullmatch(text):
+        return np.array([float(c) for c in cells])
     values, errors = [], []
     for m in _MEASUREMENT_RE.finditer(text):  # one match at a time, not all at once
         v, e = _pair(*m.groups())
         values.append(v)
         errors.append(e)
-    if len(values) != len(cells):
+    try:
+        return UncertainVector(values, errors) if len(values) == len(cells) else None
+    except NegativeError:  # an illegal pair
         return None
-    return UncertainVector(values, errors)

@@ -10,6 +10,7 @@ the expression is strongly nonlinear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,15 +89,25 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
         )
     if n_bad:
         out = out[finite]
-    med, mad, quantiles = _order_stats(out, cfg.quantiles)
-    return McResult(
-        mean=float(np.mean(out)),
-        sd=float(np.std(out, ddof=1)),
-        median=med,
-        mad=mad,
-        quantile_values=quantiles,
-        n_nonfinite=n_bad,
-    )
+    stats = _summary(out, cfg.quantiles)
+    if not all(map(math.isfinite, stats)):
+        # finite draws near the float limit overflowed a sum or a difference:
+        # those statistics again, on the draws scaled by the power of two that
+        # brings the largest near 2**256, where sums and squares stay finite
+        k = math.frexp(max(-out.min(), out.max()))[1] - 256
+        scaled = _summary(out * 2.0**-k, cfg.quantiles)
+        stats = [s if math.isfinite(s) else t * 2.0**k for s, t in zip(stats, scaled)]
+    mean, sd, med, mad, *quantiles = stats
+    return McResult(mean=mean, sd=sd, median=med, mad=mad,
+                    quantile_values=tuple(quantiles), n_nonfinite=n_bad)
+
+
+def _summary(out: np.ndarray, quantiles: tuple) -> list[float]:
+    """Mean, sd, median, MAD and quantiles of finite draws.  One whose sum
+    or difference leaves the float range is inf or nan, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        med, mad, qs = _order_stats(out, quantiles)
+        return [float(np.mean(out)), float(np.std(out, ddof=1)), med, mad, *qs]
 
 
 def _order_stats(out: np.ndarray, quantiles: tuple) -> tuple[float, float, tuple]:

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import UncertainScalar, UncertainVector, as_uncertain, make_uncertain, subset
-from .exceptions import ErrpropError, NegativeError
+from .exceptions import ErrpropError
 from .expr import parse_expr, eval_uncertain
 # parse_value stays a name here, where perfbench/spans.py traces it,
 # though read_csv reads every column through parse_column
-from .formatting import (_PLAIN_RE, Notation, _bare, format_column, parse_column,
-                         parse_value)
+from .formatting import Notation, _bare, format_column, parse_column, parse_value
 from . import summaries
 
 __all__ = ["Table", "read_csv", "attach_errors", "derive_column", "summarize"]
@@ -71,12 +70,9 @@ class Table:
 def read_csv(stream) -> Table:
     """Read an RFC-4180 CSV with a header row into a Table.
 
-    A column whose every cell is a bare numeral of parse_value's grammar,
-    or inf or nan in any case ("2", "1e-3", "-Inf", "NaN"), becomes a
-    float array; else one whose every cell parse_value reads becomes an
-    UncertainVector; anything else stays text.  An uncertain column is
-    read whole by parse_column, with the bits parse_value would give each
-    cell.
+    Each column is read whole by parse_column: a float array when every
+    cell is a bare number ("2", "1e-3", "-Inf"), an UncertainVector when
+    parse_value reads every cell, else text.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -103,14 +99,7 @@ def read_csv(stream) -> Table:
 
 
 def _classify(cells: list[str]):
-    # checked first, so a column of plain numbers is never taken for an
-    # uncertain one; float() alone would also read "1_000" and "infinity"
-    if all(map(_PLAIN_RE.fullmatch, cells)):
-        return np.array([float(c) for c in cells], dtype=float)
-    try:
-        column = parse_column(cells)
-    except NegativeError:
-        return cells
+    column = parse_column(cells)
     return cells if column is None else column
 
 

@@ -124,6 +124,12 @@ def test_digits_range(capsys, monkeypatch):
     assert (code, out) == (2, "") and "digits must be between 1 and 17" in err
 
 
+def test_digits_environment_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("ERRPROP_DIGITS", "abc")
+    code, out, err = run(capsys, "eval", "x", "x=1(1)")
+    assert (code, out) == (2, "") and "ERRPROP_DIGITS" in err and "'abc'" in err
+
+
 @pytest.mark.parametrize("binding, pair", [
     ("x=1 ± 1e-310", (1.0, 1e-310)), ("x=1e308 ± 1", (1e308, 1.0)),
 ])
@@ -236,6 +242,29 @@ def test_table_numeral_grammar(tmp_path, capsys):
     assert isinstance(back["b"], np.ndarray)
 
 
+def test_table_infinite_value_roundtrip(tmp_path, capsys):
+    # a number is the same text in a plain cell, an uncertain cell and a binding
+    src = tmp_path / "t.csv"
+    src.write_text("x\n1\nInf\n")
+    code, out, _ = run(capsys, "table", str(src), "--abs-error", "x=0.1", "--format", "csv")
+    assert (code, out) == (0, "x\n1.0(1)\nInf(0.1)\n")
+    src.write_text(out)
+    code, out, _ = run(capsys, "table", str(src), "--derive", "y=2*x", "--format", "csv")
+    assert (code, out) == (0, "x,y\n1.0(1),2.0(2)\nInf(0.1),Inf(0.2)\n")
+    assert run(capsys, "eval", "x", "x=inf")[:2] == (0, "Inf\n")
+    assert run(capsys, "eval", "x", "x=-Inf(1)")[:2] == (0, "-Inf(1)\n")
+
+
+@pytest.mark.parametrize("flag", ["--rel-error", "--abs-error"])
+@pytest.mark.parametrize("value", ["1_0", "infinity", "0.1(1)", ""])
+def test_table_error_flag_is_a_number(tmp_path, capsys, flag, value):
+    # float() would read "1_0" as 10 and "infinity" as inf; a cell would not
+    src = tmp_path / "t.csv"
+    src.write_text("x\n1\n")
+    code, out, err = run(capsys, "table", str(src), flag, f"x={value}")
+    assert (code, out) == (2, "") and f"not a number: {value!r}" in err
+
+
 @pytest.mark.parametrize("notation, nan_cell", [
     ("parenthesis", "NaN(NaN)"), ("plus-minus", "NaN ± NaN"),
 ])
@@ -288,6 +317,19 @@ def test_table_missing_column_is_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "table", str(src), "--rel-error", "y=0.02")
     assert code == 2
     assert "y" in err
+
+
+def test_mc_draws_near_the_float_limit(capsys):
+    # the sums inside the mean, sd and two-middle median overflow on these
+    # finite draws; every statistic is finite, and no warning leaks
+    code, out, _ = run(capsys, "mc", "x", "x=1.7e308 ± 1e300", "--samples", "1000",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert None not in doc.values()
+    assert doc["mcm_mean"] == pytest.approx(1.7e308, rel=1e-7)
+    assert doc["mcm_sd"] == pytest.approx(1e300, rel=0.1)
+    assert doc["relative_gap"] < 0.1
 
 
 def test_mc_determinism(tmp_path, capsys):

@@ -24,6 +24,20 @@ def test_scalar_error_broadcast():
     assert get_errors(x).tolist() == [0.01, 0.01]
 
 
+def test_caller_array_stays_writable():
+    # the vector holds a read-only view of the caller's float64 arrays, no copy
+    a, e = np.array([1.0, 2.0]), np.array([0.1, 0.2])
+    for x in (make_uncertain(a, e), UncertainVector(a, e), propagate_unary("neg", a)):
+        a[0] = 5.0
+        e[0] = 0.3
+        assert a.flags.writeable and e.flags.writeable
+        assert not x.values.flags.writeable and not x.errors.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x.values[0] = 1.0
+    assert make_uncertain(a, e).values[0] == 5.0  # shared memory
+    assert np.shares_memory(make_uncertain(a, e).values, a)
+
+
 def test_zero_error_allowed():
     x = make_uncertain([3], [0])
     assert get_errors(x).tolist() == [0.0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from errprop import Notation, format_column, format_value, make_uncertain, parse_value
 from errprop.core import UncertainVector
 from errprop.exceptions import ParseError
+from errprop.formatting import parse_column, parse_number
 
 PAREN = Notation("parenthesis")
 PM = Notation("plus-minus")
@@ -33,6 +34,13 @@ PM = Notation("plus-minus")
         # a value that rounds to zero keeps its sign
         (-0.0001, 0.001, PAREN, "-0.000(1)"),
         (-0.0, 0.1, PM, "-0.0 ± 0.1"),
+        # an infinite value's uncertainty, written to read back
+        (math.inf, 0.1, PAREN, "Inf(0.1)"),
+        (math.inf, 1e-05, PAREN, "Inf(0.00001)"),
+        (-math.inf, 1e20, PAREN, "-Inf(100000000000000000000)"),
+        (math.inf, 3.0, PAREN, "Inf(3)"),
+        (math.inf, 1e-05, PM, "Inf ± 1e-05"),
+        (math.inf, 0.0, PAREN, "Inf"),
     ],
 )
 def test_format_examples(v, e, notation, expected):
@@ -89,6 +97,13 @@ def test_notation_validation():
         ("1.0e2 ± 5", 100.0, 5.0),
         # correctly rounded from all the digits: halfway plus a little
         ("9007199254740993.0000000000000000000001 ± 1", 9007199254740994.0, 1.0),
+        # inf and nan are numbers in every position, and take no exponent
+        ("Inf(0.1)", math.inf, 0.1),
+        ("-inf ± 2", -math.inf, 2.0),
+        ("(Inf ± 1)e3", math.inf, 1000.0),
+        ("INF(1)e-3", math.inf, 0.001),
+        ("inf", math.inf, 0.0),
+        ("Inf(0.00001)", math.inf, 1e-05),
     ],
 )
 def test_parse_examples(s, v, e):
@@ -109,7 +124,7 @@ def test_parse_errors(bad):
         parse_value(bad)
 
 
-@pytest.mark.parametrize("s", ["NaN(NaN)", "NaN ± NaN", " NaN +/- NaN "])
+@pytest.mark.parametrize("s", ["NaN(NaN)", "NaN ± NaN", " NaN +/- NaN ", "nan(nan)"])
 def test_parse_nan_pair(s):
     out = parse_value(s)
     assert math.isnan(out.value) and math.isnan(out.error)
@@ -118,7 +133,8 @@ def test_parse_nan_pair(s):
 
 def test_parse_rejects_what_the_rule_rejects():
     # the error points at the uncertainty
-    for bad, position in [("1 ± 1e999", 4), ("1(1)e999", 2), ("5 ± -1", 4),
+    for bad, position in [("1(Inf)", 2), ("1 ± nan", 4), ("Inf(Inf)", 4),
+                          ("1 ± 1e999", 4), ("1(1)e999", 2), ("5 ± -1", 4),
                           ("1(1)e99999999", 2), ("1 ± 1e99999999", 4),
                           ("1(1)e" + "1" * 5000, 2), ("1 ± 1e" + "1" * 5000, 4)]:
         with pytest.raises(ParseError, match=rf"\(position {position}\)"):
@@ -158,6 +174,53 @@ def test_parse_long_exponent_values():
     assert (out.value, out.error) == (0.1, 0.1)
     out = parse_value(f"1(1)e-{_ONES}")
     assert (out.value, out.error) == (0.0, 0.0)
+
+
+# pieces of every form, and characters of none
+_PIECES = ["1", "0", "9", ".", "e", "E", "+", "-", "(", ")", " ", "±", "+/-",
+           "inf", "Inf", "nan", "NaN", "infinity", "_", "\x00", "x", "٢"]
+_texts = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join) | st.text(max_size=12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(s=_texts)
+def test_any_text_reads_or_is_a_parse_error(s):
+    # float() raises ValueError on "infe3" and reads "1_0": neither leaks out
+    for read in (parse_value, parse_number):
+        try:
+            read(s)
+        except ParseError:
+            pass
+    parse_column([s, s])
+
+
+@pytest.mark.parametrize("s, v", [("inf", math.inf), ("-NaN", -math.nan), ("1e-3", 0.001),
+                                  ("2.", 2.0)])
+def test_parse_number(s, v):
+    assert np.float64(parse_number(s)).tobytes() == np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("bad, position", [("1_0", 1), ("infinity", 3), (" 1", 0),
+                                           ("", 0), ("1(1)", 1)])
+def test_parse_number_rejects(bad, position):
+    with pytest.raises(ParseError, match=rf"\(position {position}\)"):
+        parse_number(bad)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    v=st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf]),
+    e=(st.floats(min_value=0.0, allow_infinity=False)
+       | st.sampled_from([1e-05, 1e20, 3.0, 5e-324, 1.7976931348623157e308])),
+    digits=st.integers(1, 17),
+    style=st.sampled_from(["parenthesis", "plus-minus"]),
+)
+def test_legal_pairs_read_back(v, e, digits, style):
+    out = parse_value(format_value(v, e, Notation(style, digits)))
+    if math.isinf(v):
+        # nothing is rounded: the uncertainty prints all its repr digits
+        assert np.float64(out.value).tobytes() == np.float64(v).tobytes()
+        assert np.float64(out.error).tobytes() == np.float64(e).tobytes()
 
 
 def test_negative_zero_keeps_its_sign():
@@ -329,6 +392,8 @@ def _reference_format_column(x, notation):
             out.append(_reference_bare(v))
         elif math.isinf(v) or math.isinf(e):
             bv, be = _reference_bare(v), _reference_bare(e)
+            if paren and "e" in be:  # an uncertainty with an exponent, written out
+                be = format(Decimal(repr(e)), "f")
             out.append(f"{bv}({be})" if paren else f"{bv} ± {be}")
         else:
             out.append(_reference_format(v, e, notation))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,31 @@ def test_mc_propagate_bitwise_equal_to_reference(expr, env, n):
     med, mad, qs = _reference_order_stats(out, QUANTILES)
     assert _bits(got.mean, got.sd, got.median, got.mad, *got.quantile_values) == \
         _bits(np.mean(out), np.std(out, ddof=1), med, mad, *qs)
+
+
+@pytest.mark.parametrize("value, error", [(1.7e308, 1e300), (-1.7e308, 1e300), (0.0, 1e307)])
+def test_statistics_of_draws_near_the_float_limit(value, error):
+    # sums of these finite draws overflow; each statistic that overflowed
+    # is taken again on scaled draws and agrees with exact arithmetic
+    n = 1000
+    cfg = McConfig(samples=n, seed=5, quantiles=QUANTILES)
+    got = mc_propagate(parse_expr("x"), {"x": UncertainScalar(value, error)}, cfg)
+    draws = np.random.default_rng(cfg.seed).normal(value, error, n)
+    assert np.isfinite(draws).all()
+    exact = sorted(map(Fraction, draws.tolist()))
+    mean = sum(exact) / n
+    scale = 2**1000  # the exact variance is past the float range
+    sd = math.sqrt(float(sum((d - mean) ** 2 for d in exact) / (n - 1) / scale**2)) * scale
+    median = (exact[n // 2 - 1] + exact[n // 2]) / 2
+    deviations = sorted(abs(d - median) for d in exact)
+    mad = MAD_SCALE * float((deviations[n // 2 - 1] + deviations[n // 2]) / 2)
+    assert got.mean == pytest.approx(float(mean), rel=1e-12, abs=1e-12 * error)
+    assert got.sd == pytest.approx(sd, rel=1e-12)
+    assert got.median == pytest.approx(float(median), rel=1e-15, abs=1e-15 * error)
+    # the deviations are from the median rounded to a float
+    assert got.mad == pytest.approx(mad, rel=1e-12, abs=4 * math.ulp(float(median)))
+    q = np.quantile(draws / 2.0**600, QUANTILES) * 2.0**600
+    assert got.quantile_values == pytest.approx(tuple(q), rel=1e-15)
 
 
 def test_mc_propagate_memory():

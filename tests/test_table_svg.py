@@ -18,7 +18,7 @@ from errprop.table import (
     read_csv,
     summarize,
 )
-from errprop.formatting import _EXP, _NUM, _NUMERAL, _PLAIN_RE, Notation, format_value
+from errprop.formatting import Notation, format_value
 from errprop.propagation import BINARY_RULES, UNARY_RULES
 
 IRIS_HEAD = """Sepal.Length,Sepal.Width,Petal.Length,Petal.Width,Species
@@ -195,14 +195,18 @@ def test_svg_labels_escaped():
     assert labels == ["a<b & c", '"y" > 0']
 
 
-# parse_value as it was before the column reader: one cell at a time,
-# with its own two patterns and its own arithmetic
+# parse_value and the plain-cell test as they were before the column
+# reader: one cell at a time, with their own patterns and arithmetic
+_REF_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
+_REF_EXP = r"[eE][+-]?\d+"
+_REF_NUMERAL = rf"{_REF_NUM}(?:{_REF_EXP})?"
+_REF_PLAIN_RE = re.compile(rf"{_REF_NUMERAL}|[+-]?(?:inf|nan)", re.IGNORECASE)
 _REF_PAREN_RE = re.compile(
-    rf"\s*(?P<val>{_NUM})\((?P<unc>\d+\.\d*|\.\d+|\d+)\)(?P<exp>{_EXP})?\s*$")
+    rf"\s*(?P<val>{_REF_NUM})\((?P<unc>\d+\.\d*|\.\d+|\d+)\)(?P<exp>{_REF_EXP})?\s*$")
 _REF_PM_RE = re.compile(
-    rf"\s*(?P<lp>\()?\s*(?P<val>{_NUMERAL})\s*(?:±|\+/-)\s*"
-    rf"(?P<unc>{_NUMERAL})\s*(?(lp)\))(?P<exp>{_EXP})?\s*$")
-_REF_BARE_RE = re.compile(rf"\s*(?P<val>{_NUMERAL})\s*$")
+    rf"\s*(?P<lp>\()?\s*(?P<val>{_REF_NUMERAL})\s*(?:±|\+/-)\s*"
+    rf"(?P<unc>{_REF_NUMERAL})\s*(?(lp)\))(?P<exp>{_REF_EXP})?\s*$")
+_REF_BARE_RE = re.compile(rf"\s*(?P<val>{_REF_NUMERAL})\s*$")
 _REF_NAN_RE = re.compile(r"\s*NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)\s*$")
 
 
@@ -237,7 +241,7 @@ def _reference_parse_value(s):
 
 def _reference_classify(cells):
     """table._classify one cell at a time."""
-    if all(map(_PLAIN_RE.fullmatch, cells)):
+    if all(map(_REF_PLAIN_RE.fullmatch, cells)):
         return np.array([float(c) for c in cells], dtype=float)
     try:
         parsed = [_reference_parse_value(c) for c in cells]
@@ -290,6 +294,11 @@ def test_classify_matches_per_cell_reference(cells):
     (["1.0(1)", "5 ± -1"], "text"),  # an illegal pair
     (["1.0(1)", "1 ± 1e999"], "text"),
     (["alpha", "1.0(1)"], "text"),
+    (["1", "-Inf", "nan", "2e-3"], "numeric"),
+    ([], "numeric"),  # a header with no rows
+    (["1", "1_0"], "text"),
+    (["1", "1\x002"], "text"),
+    ([" 42", "1"], "uncertain"),  # a bare number with spaces is exact
 ])
 def test_classify_mixed_columns(cells, kind):
     out = table._classify(cells)
