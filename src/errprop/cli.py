@@ -18,7 +18,7 @@ from . import table as tbl
 from .exceptions import ErrpropError
 from .expr import eval_uncertain, parse_expr
 from .formatting import Notation, format_value, parse_number, parse_value
-from .mc import McConfig, compare_tsm_mcm
+from .mc import MAX_SAMPLES, McConfig, compare_tsm_mcm
 from .svg import scatter_svg
 
 PROG = "errprop"
@@ -144,8 +144,11 @@ def cmd_mc(args) -> int:
     notation = _notation(args)
     ast = parse_expr(args.expr)
     env = _parse_vars(args.vars)
-    cfg = McConfig(samples=args.samples, seed=args.seed,
-                   quantiles=tuple(args.quantiles))
+    try:
+        cfg = McConfig(samples=args.samples, seed=args.seed,
+                       quantiles=tuple(args.quantiles))
+    except ValueError as exc:  # its message starts with the flag's name
+        raise ErrpropError(f"--{exc}") from None
     report = compare_tsm_mcm(ast, env, cfg)
     pairs = [
         ("tsm_value", report.tsm_value),
@@ -222,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help='expression; one that starts with "-" needs -- '
                    'before it, after any flags: -- "-x"')
     p.add_argument("vars", nargs="*", metavar="NAME=SPEC")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=100_000,
+                   help=f"Monte Carlo draws, 2 to {MAX_SAMPLES} (default: 100000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quantiles", type=float, nargs="+", default=[0.025, 0.975])
     _add_common(p)

@@ -329,15 +329,28 @@ def eval_uncertain(ast: ExprAst, env: dict) -> UncertainScalar | UncertainVector
     return out if any(isinstance(v, UncertainVector) for v in env.values()) else out[0]
 
 
-def _numeric_unary(fn, x):
-    return UNARY_RULES[fn][0](np.asarray(x, dtype=float))
+# Both evaluators make the same numpy calls: a number is a length-1 array,
+# and a length-1 operand is repeated to the other's length, as propagation's
+# _broadcast does.  numpy takes other paths for a 0-d or a broadcast operand
+# (x*x for x^2, sqrt(x) for x^0.5, where pow gives inf for (-inf)^0.5), and
+# their last bits can differ, so a value would depend on the operands' length.
+
+def _numeric_leaf(node: Const | Var, env: dict) -> np.ndarray:
+    v = np.asarray(_bound(node, env), dtype=float)
+    return v.reshape(1) if v.ndim == 0 else v
 
 
-def _numeric_binary(fn, x, y):
-    return BINARY_RULES[fn][0](np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+def _numeric_binary(fn: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if x.size != y.size:
+        x, y = (np.repeat(a, max(x.size, y.size)) if a.size == 1 else a for a in (x, y))
+    return BINARY_RULES[fn][0](x, y)
 
 
 def eval_numeric(ast: ExprAst, env: dict):
-    """Plain numeric evaluation (scalars or numpy arrays), same tree semantics."""
+    """Plain numeric evaluation, same tree semantics and numpy calls as
+    eval_uncertain's values.  Returns a numpy array when some binding is
+    an array, else a numpy float."""
     with np.errstate(all="ignore"):
-        return _walk(ast, lambda node: _bound(node, env), _numeric_unary, _numeric_binary)
+        out = _walk(ast, lambda node: _numeric_leaf(node, env),
+                    lambda fn, x: UNARY_RULES[fn][0](x), _numeric_binary)
+    return out if any(np.ndim(v) for v in env.values()) else out[0]

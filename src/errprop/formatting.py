@@ -146,11 +146,11 @@ def _text(v: float, e: float, style: str, digits: int) -> str:
 
 def _exact(value: float, error: float, style: str, digits: int) -> str:
     """Text of one pair by integer arithmetic on the shortest repr digits."""
-    if math.isnan(value) or math.isnan(error):
+    if math.isnan(error):
         return "NaN(NaN)" if style == PARENTHESIS else "NaN ± NaN"
     if error == 0:
         return _bare(value)
-    if math.isinf(value) or math.isinf(error):
+    if not math.isfinite(value) or math.isinf(error):
         v, e = _bare(value), _bare(error)
         if style == PARENTHESIS and "e" in e:  # "Inf(1e-05)" would not read back
             e = _fixed("", *_digits(error))

@@ -1,11 +1,12 @@
 """Monte Carlo propagation oracle.
 
-Inputs are modeled as independent normals N(value, error^2), sampled
-with numpy's default PCG64 bit generator, pushed through the expression
-and summarized.  Given the same (expr, env, config), the result is
-bitwise reproducible.  Used to cross-check the first-order Taylor
-approximation, which degrades when the relative errors are large and
-the expression is strongly nonlinear.
+Inputs are modeled as independent normals N(value, error^2), each drawn
+from its own stream, spawned from numpy's default PCG64 generator, pushed
+through the expression a chunk at a time and summarized.  Given the same
+(expr, env, config), the result is bitwise reproducible, whatever CHUNK
+is.  Used to cross-check the first-order Taylor approximation, which
+degrades when the relative errors are large and the expression is
+strongly nonlinear.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ MAD_SCALE = 1.4826
 # above this fraction of non-finite evaluations the run is rejected
 NONFINITE_LIMIT = 0.01
 
+# draws per variable sampled and evaluated at once: the peak memory holds
+# the finite outputs and np.std's temporary of them, not every draw
+CHUNK = 2**16
+
+# order statistics need every output, so a run holds about 2 * 8 bytes per
+# draw at its peak: 1.6 GB at this many
+MAX_SAMPLES = 10**8
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -34,8 +43,9 @@ class McConfig:
     quantiles: tuple = (0.025, 0.975)
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("samples must be >= 2")
+        # each message starts with the field's name, which is the CLI flag's
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must lie in [2, {MAX_SAMPLES}], got {self.samples}")
         if any(not 0 < q < 1 for q in self.quantiles):
             raise ValueError("quantiles must lie in (0, 1)")
 
@@ -72,66 +82,72 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
     missing = [n for n in names if n not in env]
     if missing:
         raise UnboundVariable(missing[0])
-    rng = np.random.default_rng(cfg.seed)
-    # draw in sorted-name order so the stream assignment is reproducible
-    draws = {}
-    for name in names:
-        s = eval_uncertain(Var(name), env)  # a plain number is exact
-        draws[name] = rng.normal(s.value, s.error, cfg.samples)
-    out = np.asarray(eval_numeric(expr, draws), dtype=float)
-    if out.ndim == 0:
-        out = np.full(cfg.samples, float(out))
-    finite = np.isfinite(out)
-    n_bad = int(cfg.samples - finite.sum())
+    inputs = [eval_uncertain(Var(name), env) for name in names]  # a plain number is exact
+    # one stream per variable, in sorted-name order: the draws of a variable
+    # are the same whether taken at once or a chunk at a time
+    streams = np.random.default_rng(cfg.seed).spawn(len(names))
+    out = np.empty(cfg.samples)
+    kept = 0  # the finite outputs, in draw order, fill out[:kept]
+    for start in range(0, cfg.samples, CHUNK):
+        m = min(CHUNK, cfg.samples - start)
+        draws = {name: rng.normal(s.value, s.error, m)
+                 for name, s, rng in zip(names, inputs, streams)}
+        chunk = np.broadcast_to(eval_numeric(expr, draws), m)  # a constant broadcasts
+        finite = np.isfinite(chunk)
+        k = int(np.count_nonzero(finite))
+        out[kept:kept + k] = chunk if k == m else chunk[finite]
+        kept += k
+    n_bad = cfg.samples - kept
     if n_bad > NONFINITE_LIMIT * cfg.samples:
         raise NonFiniteSamples(
             f"{n_bad} of {cfg.samples} evaluations non-finite"
         )
-    if n_bad:
-        out = out[finite]
-    stats = _summary(out, cfg.quantiles)
-    if not all(map(math.isfinite, stats)):
-        # finite draws near the float limit overflowed a sum or a difference:
-        # those statistics again, on the draws scaled by the power of two that
-        # brings the largest near 2**256, where sums and squares stay finite
-        k = math.frexp(max(-out.min(), out.max()))[1] - 256
-        scaled = _summary(out * 2.0**-k, cfg.quantiles)
-        stats = [s if math.isfinite(s) else t * 2.0**k for s, t in zip(stats, scaled)]
-    mean, sd, med, mad, *quantiles = stats
+    out = out[:kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = _rescaled(lambda o: [float(np.mean(o)), float(np.std(o, ddof=1))], out)
+        med, mad, *quantiles = _rescaled(lambda o: _order_stats(o, cfg.quantiles), out)
     return McResult(mean=mean, sd=sd, median=med, mad=mad,
                     quantile_values=tuple(quantiles), n_nonfinite=n_bad)
 
 
-def _summary(out: np.ndarray, quantiles: tuple) -> list[float]:
-    """Mean, sd, median, MAD and quantiles of finite draws.  One whose sum
-    or difference leaves the float range is inf or nan, with no warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        med, mad, qs = _order_stats(out, quantiles)
-        return [float(np.mean(out)), float(np.std(out, ddof=1)), med, mad, *qs]
+def _rescaled(stats_of, out: np.ndarray) -> list[float]:
+    """stats_of(out), where a sum or a difference of finite draws near the
+    float limit may overflow to inf or nan: only then, each statistic that
+    did is taken again on the draws scaled by the power of two that brings
+    the largest near 2**256, where sums and squares stay finite, and
+    scaled back."""
+    stats = stats_of(out)
+    if all(map(math.isfinite, stats)):
+        return stats
+    k = math.frexp(max(-out.min(), out.max()))[1] - 256
+    scaled = stats_of(out * 2.0**-k)
+    return [s if math.isfinite(s) else t * 2.0**k for s, t in zip(stats, scaled)]
 
 
-def _order_stats(out: np.ndarray, quantiles: tuple) -> tuple[float, float, tuple]:
-    """Median, MAD and quantiles of finite draws, read off one sort.
+def _order_stats(out: np.ndarray, quantiles: tuple) -> list[float]:
+    """Median, MAD and quantiles of finite draws, in that order, read off
+    one sort of out in place.
 
     The results are bitwise those of m = float(np.median(out)),
     MAD_SCALE * np.median(np.abs(out - m)) and np.quantile(out,
     quantiles), which make three selections and an n-length |out - m|.
     """
-    s = np.sort(out)  # a copy: out keeps the draw order for the calls below
-    zeros = np.searchsorted(s, 0.0, "right") - np.searchsorted(s, 0.0, "left")
-    if zeros and 0 < np.signbit(out[out == 0]).sum() < zeros:
+    zeros = out[out == 0]
+    if 0 < np.signbit(zeros).sum() < zeros.size:
         # -0.0 == 0.0: which zero numpy's selection puts at a rank is its
         # own detail, and its sort may even turn one zero into the other,
-        # so draws with both zeros need the same calls for the same bits
+        # so draws with both zeros, left in draw order, need the same calls
+        # for the same bits
         med = float(np.median(out))
         mad = np.median(np.abs(out - med))
         qs = np.quantile(out, quantiles)
     else:
-        lo, hi = (s.size - 1) // 2, s.size // 2 + 1  # the one or two middle ranks
-        med = float(np.median(s[lo:hi]))
-        mad = np.median([_kth_deviation(s, med, j) for j in range(lo, hi)])
-        qs = np.quantile(s, quantiles, overwrite_input=True)  # s is read last
-    return med, float(MAD_SCALE * mad), tuple(float(q) for q in qs)
+        out.sort()
+        lo, hi = (out.size - 1) // 2, out.size // 2 + 1  # the one or two middle ranks
+        med = float(np.median(out[lo:hi]))
+        mad = np.median([_kth_deviation(out, med, j) for j in range(lo, hi)])
+        qs = np.quantile(out, quantiles, overwrite_input=True)  # out is read last
+    return [med, float(MAD_SCALE * mad), *map(float, qs)]
 
 
 def _kth_deviation(s: np.ndarray, med: float, j: int) -> np.float64:

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from errprop import McConfig, mc_propagate, parse_expr
 from errprop.cli import main
 from errprop.formatting import parse_value
+from errprop.mc import MAX_SAMPLES
 from errprop.table import read_csv
 
 
@@ -283,6 +284,20 @@ def test_table_nan_rows_roundtrip(tmp_path, capsys, notation, nan_cell):
     assert out.splitlines()[1:] == ["4(1),2.0(3),4.0(6)", "-4(1),NaN(NaN),NaN(NaN)"]
 
 
+@pytest.mark.parametrize("notation", ["parenthesis", "plus-minus"])
+@pytest.mark.parametrize("cell, error", [("NaN(0.1)", 0.1), ("nan(0.00001)", 1e-05),
+                                         ("NaN ± 3", 3.0), ("NaN", 0.0)])
+def test_table_nan_value_keeps_its_uncertainty(tmp_path, capsys, notation, cell, error):
+    # a NaN value with a finite uncertainty is written so that it reads back
+    src = tmp_path / "t.csv"
+    src.write_text(f"x\n{cell}\n1(1)\n")
+    code, out, _ = run(capsys, "table", str(src), "--notation", notation, "--format", "csv")
+    assert code == 0
+    x = read_csv(out).columns["x"]
+    assert math.isnan(x.values[0]) and x.errors[0] == error
+    assert x.values[1] == 1.0 and x.errors[1] == 1.0
+
+
 plain_floats = (st.floats() | st.integers(10**16, 10**300).map(float)
                 | st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, 1e300, -0.0]))
 
@@ -330,6 +345,15 @@ def test_mc_draws_near_the_float_limit(capsys):
     assert doc["mcm_mean"] == pytest.approx(1.7e308, rel=1e-7)
     assert doc["mcm_sd"] == pytest.approx(1e300, rel=0.1)
     assert doc["relative_gap"] < 0.1
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", str(MAX_SAMPLES + 1)),
+                                         ("--samples", "1"), ("--quantiles", "1.5")])
+def test_mc_bad_config_is_exit_2(monkeypatch, capsys, flag, value):
+    # refused from the argv alone, before a draw is allocated
+    monkeypatch.setattr("errprop.cli.compare_tsm_mcm", lambda *a: pytest.fail("sampled"))
+    code, out, err = run(capsys, "mc", "x", "x=1(1)", flag, value)
+    assert (code, out) == (2, "") and f"errprop: {flag} must lie in" in err
 
 
 def test_mc_determinism(tmp_path, capsys):

@@ -41,6 +41,11 @@ PM = Notation("plus-minus")
         (math.inf, 3.0, PAREN, "Inf(3)"),
         (math.inf, 1e-05, PM, "Inf ± 1e-05"),
         (math.inf, 0.0, PAREN, "Inf"),
+        # a NaN value keeps a finite uncertainty, as an infinite one does
+        (math.nan, 0.1, PAREN, "NaN(0.1)"),
+        (math.nan, 1e-05, PAREN, "NaN(0.00001)"),
+        (math.nan, 0.1, PM, "NaN ± 0.1"),
+        (math.nan, 0.0, PAREN, "NaN"),
     ],
 )
 def test_format_examples(v, e, notation, expected):
@@ -386,11 +391,11 @@ def _reference_format_column(x, notation):
     paren = notation.style == "parenthesis"
     out = []
     for v, e in zip(x.values.tolist(), x.errors.tolist()):
-        if math.isnan(v) or math.isnan(e):
+        if math.isnan(e):
             out.append("NaN(NaN)" if paren else "NaN ± NaN")
         elif e == 0:
             out.append(_reference_bare(v))
-        elif math.isinf(v) or math.isinf(e):
+        elif not math.isfinite(v) or math.isinf(e):
             bv, be = _reference_bare(v), _reference_bare(e)
             if paren and "e" in be:  # an uncertainty with an exponent, written out
                 be = format(Decimal(repr(e)), "f")
@@ -412,7 +417,7 @@ _magnitudes = (st.floats(min_value=0.0, allow_nan=False) | st.sampled_from(_SPEC
 _values = st.builds(lambda m, s: math.copysign(m, s), _magnitudes, st.sampled_from([1.0, -1.0]))
 _pairs = (st.tuples(_values, _magnitudes)
           | st.tuples(_values, _values.map(abs).map(lambda m: m / 10.0 ** 3))
-          | st.just((math.nan, math.nan)))
+          | st.tuples(st.just(math.nan), _magnitudes | st.just(math.nan)))
 
 
 @settings(max_examples=400, deadline=None)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from errprop import McConfig, compare_tsm_mcm, eval_numeric, mc_propagate, parse_expr
+from errprop import McConfig, compare_tsm_mcm, eval_numeric, mc, mc_propagate, parse_expr
 from errprop.core import UncertainScalar
 from errprop.exceptions import NonFiniteSamples, UnboundVariable
-from errprop.mc import MAD_SCALE, _order_stats
+from errprop.expr import free_variables
+from errprop.mc import MAD_SCALE, MAX_SAMPLES, _order_stats
 
 
 def xy_env():
@@ -50,6 +51,9 @@ def test_quantiles_sorted_and_config_validation():
     assert list(out.quantile_values) == sorted(out.quantile_values)
     with pytest.raises(ValueError):
         McConfig(samples=1)
+    McConfig(samples=MAX_SAMPLES)  # a config allocates nothing
+    with pytest.raises(ValueError, match="samples"):
+        McConfig(samples=MAX_SAMPLES + 1)
     with pytest.raises(ValueError):
         McConfig(quantiles=(0.0, 0.9))
 
@@ -127,11 +131,8 @@ def test_plain_numbers_in_env():
 def _reference_order_stats(out, quantiles):
     """Median, MAD and quantiles as three separate numpy calls on the draws."""
     med = float(np.median(out))
-    return (
-        med,
-        float(MAD_SCALE * np.median(np.abs(out - med))),
-        tuple(float(q) for q in np.quantile(out, quantiles)),
-    )
+    return [med, float(MAD_SCALE * np.median(np.abs(out - med))),
+            *map(float, np.quantile(out, quantiles))]
 
 
 def _bits(*xs):
@@ -160,7 +161,33 @@ def test_order_stats_bitwise_equal_to_numpy(values):
     with np.errstate(all="ignore"):  # overflow in either is the same overflow
         got = _order_stats(out.copy(), QUANTILES)
         want = _reference_order_stats(out, QUANTILES)
-    assert _bits(got[0], got[1], *got[2]) == _bits(want[0], want[1], *want[2])
+    assert _bits(*got) == _bits(*want)
+
+
+def _streams(seed, names):
+    """The stream of each variable: spawned from the seed, in sorted-name order."""
+    return dict(zip(sorted(names), np.random.default_rng(seed).spawn(len(names))))
+
+
+def _reference(ast, env, cfg):
+    """The finite outputs of mc_propagate in draw order, and its non-finite
+    count and statistics, by whole-array numpy calls on every draw of each
+    stream at once."""
+    n = cfg.samples
+    draws = {
+        name: rng.normal(float(getattr(env[name], "value", env[name])),
+                         float(getattr(env[name], "error", 0.0)), n)
+        for name, rng in _streams(cfg.seed, free_variables(ast)).items()
+    }
+    out = np.broadcast_to(eval_numeric(ast, draws), n)
+    out = out[np.isfinite(out)]
+    return out, (n - out.size, _bits(np.mean(out), np.std(out, ddof=1),
+                                     *_reference_order_stats(out, cfg.quantiles)))
+
+
+def _got(result):
+    return result.n_nonfinite, _bits(result.mean, result.sd, result.median, result.mad,
+                                     *result.quantile_values)
 
 
 @pytest.mark.parametrize("expr, env, n", [
@@ -171,20 +198,34 @@ def test_order_stats_bitwise_equal_to_numpy(values):
 ])
 def test_mc_propagate_bitwise_equal_to_reference(expr, env, n):
     cfg = McConfig(samples=n, seed=6, quantiles=QUANTILES)
-    got = mc_propagate(parse_expr(expr), env, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    draws = {
-        name: rng.normal(float(getattr(env[name], "value", env[name])),
-                         float(getattr(env[name], "error", 0.0)), n)
-        for name in sorted(env)
-    }
-    out = np.broadcast_to(eval_numeric(parse_expr(expr), draws), n)
-    out = out[np.isfinite(out)]
-    assert got.n_nonfinite == n - out.size
-    assert (got.n_nonfinite > 0) == (expr == "ln(x)")
-    med, mad, qs = _reference_order_stats(out, QUANTILES)
-    assert _bits(got.mean, got.sd, got.median, got.mad, *got.quantile_values) == \
-        _bits(np.mean(out), np.std(out, ddof=1), med, mad, *qs)
+    got = _got(mc_propagate(parse_expr(expr), env, cfg))
+    assert got == _reference(parse_expr(expr), env, cfg)[1]
+    assert (got[0] > 0) == (expr == "ln(x)")
+
+
+@pytest.mark.parametrize("expr, env, n", [
+    ("ln(x) + y", {"x": UncertainScalar(2, 0.7), "y": UncertainScalar(1, 0.1)}, 3000),
+    ("x*k", {"x": UncertainScalar(0, 1), "k": 0}, 31),  # both zeros
+    ("2", {}, 5),  # constant
+    # constant operands, which numpy treats otherwise when it broadcasts them
+    ("sin(x)/y + ln(z)^2 + atan2(x, 2) + x^0.5 + y^-1",
+     {"x": UncertainScalar(2, 0.5), "y": UncertainScalar(2.5, 0.1), "z": UncertainScalar(5, 2)},
+     3000),
+])
+@pytest.mark.parametrize("chunk", [lambda n: 1, lambda n: 7, lambda n: n - 1, lambda n: n,
+                                   lambda n: n + 1], ids=["1", "7", "n-1", "n", "n+1"])
+def test_mc_propagate_does_not_depend_on_chunk(monkeypatch, expr, env, n, chunk):
+    monkeypatch.setattr(mc, "CHUNK", chunk(n))
+    # the finite outputs, in draw order, as the order statistics receive them
+    outputs, order_stats = [], mc._order_stats
+    monkeypatch.setattr(mc, "_order_stats",
+                        lambda out, qs: outputs.append(out.copy()) or order_stats(out, qs))
+    cfg = McConfig(samples=n, seed=9, quantiles=QUANTILES)
+    got = _got(mc_propagate(parse_expr(expr), env, cfg))
+    want_outputs, want = _reference(parse_expr(expr), env, cfg)
+    assert outputs[0].tobytes() == want_outputs.tobytes()
+    assert got == want
+    assert (got[0] > 0) == ("ln" in expr)
 
 
 @pytest.mark.parametrize("value, error", [(1.7e308, 1e300), (-1.7e308, 1e300), (0.0, 1e307)])
@@ -194,7 +235,7 @@ def test_statistics_of_draws_near_the_float_limit(value, error):
     n = 1000
     cfg = McConfig(samples=n, seed=5, quantiles=QUANTILES)
     got = mc_propagate(parse_expr("x"), {"x": UncertainScalar(value, error)}, cfg)
-    draws = np.random.default_rng(cfg.seed).normal(value, error, n)
+    draws = _streams(cfg.seed, ["x"])["x"].normal(value, error, n)
     assert np.isfinite(draws).all()
     exact = sorted(map(Fraction, draws.tolist()))
     mean = sum(exact) / n
@@ -212,18 +253,24 @@ def test_statistics_of_draws_near_the_float_limit(value, error):
     assert got.quantile_values == pytest.approx(tuple(q), rel=1e-15)
 
 
-def test_mc_propagate_memory():
-    # draws, the output and evaluation temporaries: no further n-length array
-    n = 200_000
+def _peak(n):
     ast = parse_expr("sin(x)/y + ln(z)^2")
     env = {"x": UncertainScalar(2.0, 0.005), "y": UncertainScalar(2.5, 0.01),
            "z": UncertainScalar(5.0, 0.01)}
     cfg = McConfig(samples=n, seed=3)
-    mc_propagate(ast, env, cfg)  # first-call allocations out of the count
     tracemalloc.start()
     try:
         mc_propagate(ast, env, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 8 * n
+
+
+def test_mc_propagate_memory():
+    # the finite outputs and np.std's temporary of them grow with n; the
+    # chunk's draws and evaluation temporaries do not
+    n = 100_000
+    _peak(n)  # first-call allocations out of the count
+    small, large = _peak(n), _peak(4 * n)
+    assert small <= 6.5 * 8 * n
+    assert large - small <= 2.25 * 8 * 3 * n
