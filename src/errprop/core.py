@@ -69,10 +69,14 @@ class UncertainVector:
         object.__setattr__(self, "errors", errors)
 
     @classmethod
-    def _unchecked(cls, values, errors) -> UncertainVector:
+    def _unchecked(cls, values: np.ndarray, errors: np.ndarray) -> UncertainVector:
+        # every caller passes 1-d float64 arrays that no one else writes to
+        # (fresh results, or views of frozen arrays), so they are frozen in
+        # place, with no view
+        values.flags.writeable = errors.flags.writeable = False
         x = object.__new__(cls)
-        object.__setattr__(x, "values", _frozen(values))
-        object.__setattr__(x, "errors", _frozen(errors))
+        object.__setattr__(x, "values", values)
+        object.__setattr__(x, "errors", errors)
         return x
 
     def __setattr__(self, name, value):
@@ -126,7 +130,8 @@ class UncertainScalar:
         return s
 
     def as_vector(self) -> UncertainVector:
-        return UncertainVector._unchecked([self.value], [self.error])
+        return UncertainVector._unchecked(np.array([self.value], dtype=float),
+                                          np.array([self.error], dtype=float))
 
     def __format__(self, spec: str) -> str:
         if spec:
@@ -145,7 +150,7 @@ def as_uncertain(x) -> UncertainVector:
         return x
     if isinstance(x, UncertainScalar):
         return x.as_vector()
-    values = np.atleast_1d(np.asarray(x, dtype=float))
+    values = _frozen(x)  # a view: the caller's own array stays writable
     return UncertainVector._unchecked(values, np.zeros_like(values))
 
 
@@ -248,6 +253,6 @@ def concat(xs: Iterable[UncertainVector]) -> UncertainVector:
     """Join vectors end to end."""
     xs = [as_uncertain(x) for x in xs]
     if not xs:
-        return UncertainVector._unchecked([], [])
+        return UncertainVector._unchecked(np.empty(0), np.empty(0))
     return UncertainVector._unchecked(np.concatenate([x.values for x in xs]),
                                       np.concatenate([x.errors for x in xs]))

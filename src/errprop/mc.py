@@ -75,8 +75,9 @@ class TsmMcmReport:
 def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResult:
     """Sample the inputs, evaluate the expression, summarize the output.
 
-    Raises NonFiniteSamples when more than 1% of evaluations are
-    non-finite; below that threshold they are excluded and counted.
+    Raises NonFiniteSamples after the first chunk at which more than 1% of
+    all the evaluations are non-finite; below that threshold they are
+    excluded and counted.
     """
     names = sorted(free_variables(expr))
     missing = [n for n in names if n not in env]
@@ -84,24 +85,26 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
         raise UnboundVariable(missing[0])
     inputs = [eval_uncertain(Var(name), env) for name in names]  # a plain number is exact
     # one stream per variable, in sorted-name order: the draws of a variable
-    # are the same whether taken at once or a chunk at a time
+    # are the same whether taken at once or a chunk at a time, and whether
+    # or not another variable is exact
     streams = np.random.default_rng(cfg.seed).spawn(len(names))
     out = np.empty(cfg.samples)
     kept = 0  # the finite outputs, in draw order, fill out[:kept]
     for start in range(0, cfg.samples, CHUNK):
         m = min(CHUNK, cfg.samples - start)
-        draws = {name: rng.normal(s.value, s.error, m)
+        # an exact variable is bound to its value, not drawn: value + 0 * z
+        # costs m normals and turns -0.0 into 0.0
+        draws = {name: rng.normal(s.value, s.error, m) if s.error else s.value
                  for name, s, rng in zip(names, inputs, streams)}
         chunk = np.broadcast_to(eval_numeric(expr, draws), m)  # a constant broadcasts
         finite = np.isfinite(chunk)
         k = int(np.count_nonzero(finite))
         out[kept:kept + k] = chunk if k == m else chunk[finite]
         kept += k
-    n_bad = cfg.samples - kept
-    if n_bad > NONFINITE_LIMIT * cfg.samples:
-        raise NonFiniteSamples(
-            f"{n_bad} of {cfg.samples} evaluations non-finite"
-        )
+        n_bad = start + m - kept
+        if n_bad > NONFINITE_LIMIT * cfg.samples:
+            raise NonFiniteSamples(f"{n_bad} non-finite evaluations in the first "
+                                   f"{start + m} of {cfg.samples}")
     out = out[:kept]
     with np.errstate(over="ignore", invalid="ignore"):
         mean, sd = _rescaled(lambda o: [float(np.mean(o)), float(np.std(o, ddof=1))], out)

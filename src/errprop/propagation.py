@@ -88,12 +88,21 @@ BINARY_FUNCTIONS = frozenset(BINARY_RULES)
 def _term(deriv, err):
     # a zero uncertainty contributes nothing, even where the derivative
     # is singular (e.g. an exact exponent on a negative base)
-    return np.where(err == 0.0, 0.0, np.abs(deriv) * err)
+    t = np.abs(deriv)
+    t *= err
+    t[err == 0.0] = 0.0
+    return t
 
 
 def _result(values, errors) -> UncertainVector:
-    # every function here returns through this: a NaN value carries a NaN error
-    return UncertainVector._unchecked(values, np.where(np.isnan(values), np.nan, errors))
+    """The vector of values and errors, where a NaN value carries a NaN error.
+
+    Every function here returns through this, and every caller passes
+    errors, and values, that it owns: the NaNs are written into errors
+    in place and both arrays are frozen in place.
+    """
+    errors[np.isnan(values)] = np.nan
+    return UncertainVector._unchecked(values, errors)
 
 
 def propagate_unary(fn: str, x) -> UncertainVector:
@@ -138,9 +147,14 @@ def propagate_binary(fn: str, x, y) -> UncertainVector:
     x, y = _broadcast(as_uncertain(x), as_uncertain(y))
     with np.errstate(all="ignore"):
         values = f(x.values, y.values)
-        tx = _term(dfdx(x.values, y.values), x.errors)
-        ty = _term(dfdy(x.values, y.values), y.errors)
-        errors = np.hypot(tx, ty)
+        # an exact operand (every error 0; NaN is not 0) adds no term, and its
+        # derivative is not evaluated: hypot(t, 0) is |t|, bit for bit
+        terms = [_term(d(x.values, y.values), o.errors)
+                 for d, o in ((dfdx, x), (dfdy, y)) if o.errors.any()]
+        if len(terms) == 2:
+            errors = np.hypot(*terms)
+        else:
+            errors = terms[0] if terms else np.zeros(len(values))
     return _result(values, errors)
 
 
@@ -175,20 +189,22 @@ def cumulative_sum(x) -> UncertainVector:
 
 
 def cumulative_prod(x) -> UncertainVector:
-    """Running products via repeated application of the mul rule."""
-    # A fold, not the closed form |P_i| * sqrt(cumsum((e/v)**2)): that
-    # divides by every value, so a zero value or a zero running product
+    """Running products, bitwise the repeated application of the mul rule."""
+    # The mul rule's fold, not the closed form |P_i| * sqrt(cumsum((e/v)**2)):
+    # that divides by every value, so a zero value or a zero running product
     # breaks it, and it loses _term's rule that a zero error adds nothing.
+    # Step i's error is hypot(|v_i| * E_(i-1), |P_(i-1)| * e_i); only the
+    # first term depends on the step before, so only it is a loop.
     x = as_uncertain(x)
-    values = np.empty(len(x))
-    errors = np.empty(len(x))
-    pv, pe = 1.0, 0.0
     with np.errstate(all="ignore"):
-        for i, (v, e) in enumerate(zip(x.values, x.errors)):
-            pv, pe = pv * v, float(np.hypot(_term(v, pe), _term(pv, e)))
-            values[i] = pv
-            errors[i] = pe
-    return _result(values, errors)
+        values = np.multiply.accumulate(x.values)
+        second = _term(np.concatenate(([1.0], values))[:-1], x.errors)
+        errors, pe = [], 0.0
+        for v, t in zip(x.values.tolist(), second.tolist()):
+            # np.hypot, not math.hypot: their last bits differ
+            pe = float(np.hypot(abs(v) * pe if pe != 0.0 else 0.0, t))
+            errors.append(pe)
+    return _result(values, np.array(errors))
 
 
 def diff(x) -> UncertainVector:

@@ -38,13 +38,17 @@ def _nonempty(x: UncertainVector, what: str) -> UncertainVector:
     return x
 
 
+def _summary(value: float, error: float) -> UncertainScalar:
+    # as for every propagation result, a NaN value carries a NaN error
+    return UncertainScalar._unchecked(value, math.nan if math.isnan(value) else error)
+
+
+# inf - inf in a sum is a NaN result, as in propagation, not a warning
+@np.errstate(all="ignore")
 def total(x) -> UncertainScalar:
     """Sum of all elements; error is the quadrature of the element errors."""
     x = _nonempty(as_uncertain(x), "sum")
-    return UncertainScalar._unchecked(
-        float(np.sum(x.values)),
-        float(np.sqrt(np.sum(x.errors**2))),
-    )
+    return _summary(float(np.sum(x.values)), float(np.sqrt(np.sum(x.errors**2))))
 
 
 def product(x) -> UncertainScalar:
@@ -63,6 +67,7 @@ def mean(x) -> UncertainScalar:
     return weighted_mean(x, np.ones(len(x)))
 
 
+@np.errstate(all="ignore")
 def weighted_mean(x, weights) -> UncertainScalar:
     """Weighted mean with error = max(weighted SEM, weighted mean of errors).
 
@@ -83,21 +88,19 @@ def weighted_mean(x, weights) -> UncertainScalar:
     value = float(np.sum(w * x.values) / wsum)
     werr = float(np.sum(w * x.errors) / wsum)
     if n == 1:
-        return UncertainScalar._unchecked(value, werr)
+        return _summary(value, werr)
     wsem = float(
         math.sqrt(np.sum(w * (x.values - value) ** 2) * n / (wsum * (n - 1)))
         / math.sqrt(n)
     )
-    return UncertainScalar._unchecked(value, max(wsem, werr))
+    return _summary(value, max(wsem, werr))
 
 
+@np.errstate(all="ignore")
 def median(x) -> UncertainScalar:
     """Sample median; error is sqrt(pi/2) times the mean's error."""
     x = _nonempty(as_uncertain(x), "median")
-    return UncertainScalar._unchecked(
-        float(np.median(x.values)),
-        MEDIAN_FACTOR * mean(x).error,
-    )
+    return _summary(float(np.median(x.values)), MEDIAN_FACTOR * mean(x).error)
 
 
 def minimum(x) -> UncertainScalar:
@@ -115,6 +118,5 @@ def maximum(x) -> UncertainScalar:
 
 
 def value_range(x) -> UncertainScalar:
-    """max - min, extremal errors combined in quadrature."""
-    lo, hi = minimum(x), maximum(x)
-    return UncertainScalar._unchecked(hi.value - lo.value, math.hypot(lo.error, hi.error))
+    """max - min by the sub rule: the extremal errors combined in quadrature."""
+    return maximum(x) - minimum(x)

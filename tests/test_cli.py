@@ -326,6 +326,17 @@ def test_table_summarize(tmp_path, capsys):
     assert "mean(x) = " in out
 
 
+def test_table_summarize_inf_minus_inf(tmp_path, capsys):
+    # NaN sums carry NaN errors, and numpy's warning does not reach stderr
+    src = tmp_path / "t.csv"
+    src.write_text("x\n1(1)\nInf(1)\n-Inf(1)\n2(1)\n")
+    code, out, err = run(capsys, "table", str(src), "--summarize", "sum(x)",
+                         "--summarize", "mean(x)", "--summarize", "median(x)")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == ["sum(x) = NaN(NaN)", "mean(x) = NaN(NaN)",
+                                     "median(x) = NaN(NaN)"]
+
+
 def test_table_missing_column_is_exit_2(tmp_path, capsys):
     src = tmp_path / "t.csv"
     src.write_text("x\n1\n")
@@ -354,6 +365,23 @@ def test_mc_bad_config_is_exit_2(monkeypatch, capsys, flag, value):
     monkeypatch.setattr("errprop.cli.compare_tsm_mcm", lambda *a: pytest.fail("sampled"))
     code, out, err = run(capsys, "mc", "x", "x=1(1)", flag, value)
     assert (code, out) == (2, "") and f"errprop: {flag} must lie in" in err
+
+
+def test_mc_exact_negative_zero(capsys):
+    # an exact -0.0 is bound as -0.0, not drawn: atan2(-0.0, -1) is -pi
+    code, out, _ = run(capsys, "mc", "atan2(k, x)", "k=-0", "x=-1.00(1)", "--samples", "1000",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tsm_value"] == -math.pi
+    assert doc["mcm_mean"] == pytest.approx(-math.pi, rel=1e-3)
+
+
+def test_mc_nonfinite_is_exit_2(capsys):
+    # stopped in the first chunks, not after 10^7 draws
+    code, out, err = run(capsys, "mc", "sqrt(x)", "x=0(1)", "--samples", "10000000")
+    assert (code, out) == (2, "")
+    assert "non-finite evaluations in the first" in err and "of 10000000" in err
 
 
 def test_mc_determinism(tmp_path, capsys):

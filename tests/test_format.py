@@ -426,7 +426,8 @@ _pairs = (st.tuples(_values, _magnitudes)
 def test_format_column_matches_reference(pairs, digits, style):
     notation = Notation(style, digits)
     # results may carry infinite errors, so build the column unchecked
-    x = UncertainVector._unchecked([v for v, _ in pairs], [e for _, e in pairs])
+    x = UncertainVector._unchecked(np.array([v for v, _ in pairs], dtype=float),
+                                   np.array([e for _, e in pairs], dtype=float))
     expected = _reference_format_column(x, notation)
     assert format_column(x, notation) == expected
     assert [format_value(v, e, notation) for v, e in pairs] == expected

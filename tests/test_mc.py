@@ -73,6 +73,22 @@ def test_nonfinite_rejection():
         )
 
 
+def test_nonfinite_rejection_stops_sampling(monkeypatch):
+    # no chunk is evaluated after the one where the non-finite count passes
+    # 1% of all the samples
+    n, chunk = 10_000, 100
+    monkeypatch.setattr(mc, "CHUNK", chunk)
+    chunks = []
+    monkeypatch.setattr(mc, "eval_numeric", lambda ast, env: chunks.append(1) or eval_numeric(ast, env))
+    cfg = McConfig(samples=n, seed=5)
+    with pytest.raises(NonFiniteSamples) as err:
+        mc_propagate(parse_expr("sqrt(x)"), {"x": UncertainScalar(0, 1)}, cfg)
+    bad = np.cumsum(_streams(cfg.seed, ["x"])["x"].normal(0, 1, n) < 0)[chunk - 1::chunk]
+    last = int(np.argmax(bad > mc.NONFINITE_LIMIT * n))
+    assert len(chunks) == last + 1 < n // chunk
+    assert str(err.value) == f"{bad[last]} non-finite evaluations in the first {(last + 1) * chunk} of {n}"
+
+
 def test_nonfinite_below_threshold_counted():
     # ln of N(3, 1): a tiny negative tail gets excluded, not fatal
     out = mc_propagate(
@@ -174,11 +190,12 @@ def _reference(ast, env, cfg):
     count and statistics, by whole-array numpy calls on every draw of each
     stream at once."""
     n = cfg.samples
-    draws = {
-        name: rng.normal(float(getattr(env[name], "value", env[name])),
-                         float(getattr(env[name], "error", 0.0)), n)
-        for name, rng in _streams(cfg.seed, free_variables(ast)).items()
-    }
+    # an exact variable is its value; its stream is spawned but not drawn from
+    draws = {}
+    for name, rng in _streams(cfg.seed, free_variables(ast)).items():
+        value = float(getattr(env[name], "value", env[name]))
+        error = float(getattr(env[name], "error", 0.0))
+        draws[name] = rng.normal(value, error, n) if error else value
     out = np.broadcast_to(eval_numeric(ast, draws), n)
     out = out[np.isfinite(out)]
     return out, (n - out.size, _bits(np.mean(out), np.std(out, ddof=1),
@@ -195,12 +212,24 @@ def _got(result):
     ("x*k", {"x": UncertainScalar(0, 1), "k": 0}, 31),  # both zeros
     ("x", {"x": UncertainScalar(1, 1)}, 20_000),
     ("2", {}, 2),  # constant
+    # k is bound to -0.0, not drawn as -0.0 + 0 * z, which is 0.0
+    ("atan2(k, x) + y", {"k": -0.0, "x": UncertainScalar(-1, 0.1),
+                         "y": UncertainScalar(0, 0.1)}, 1000),
 ])
 def test_mc_propagate_bitwise_equal_to_reference(expr, env, n):
     cfg = McConfig(samples=n, seed=6, quantiles=QUANTILES)
     got = _got(mc_propagate(parse_expr(expr), env, cfg))
     assert got == _reference(parse_expr(expr), env, cfg)[1]
     assert (got[0] > 0) == (expr == "ln(x)")
+
+
+def test_mc_exact_variable_is_not_drawn():
+    # atan2(-0.0, x < 0) is -pi, atan2(0.0, x < 0) is +pi
+    env = {"k": UncertainScalar(-0.0, 0.0), "x": UncertainScalar(-1, 0.1)}
+    rep = compare_tsm_mcm(parse_expr("atan2(k, x)"), env, McConfig(samples=1000, seed=2))
+    assert rep.tsm_value == -math.pi
+    assert rep.mcm.mean == pytest.approx(-math.pi, rel=1e-2)
+    assert rep.mcm.quantile_values[1] == -math.pi
 
 
 @pytest.mark.parametrize("expr, env, n", [

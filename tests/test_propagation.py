@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from errprop import (
     cumulative_prod,
@@ -14,6 +15,7 @@ from errprop import (
     propagate_general,
     propagate_unary,
 )
+from errprop.core import UncertainVector
 from errprop.exceptions import (
     DimensionMismatch,
     LengthMismatch,
@@ -256,14 +258,36 @@ def test_cumsum_single():
     assert out == x
 
 
+def _same(a, b):
+    """Bitwise equal arrays, where a NaN need only be a NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
 def test_cumprod_matches_repeated_mul():
-    x = make_uncertain([2.0, 3.0, 4.0], [0.1, 0.2, 0.3])
-    out = cumulative_prod(x)
-    step = x[0].as_vector()
-    for i in (1, 2):
-        step = propagate_binary("mul", step, x[i].as_vector())
-        assert out.values[i] == step.values[0]
-        assert out.errors[i] == pytest.approx(step.errors[0], rel=1e-14)
+    # zero values, zero running products and zero errors among the steps;
+    # many short vectors, where the two terms of a step are alike in size
+    # (there the last bits of math.hypot and np.hypot differ)
+    rng = np.random.default_rng(5)
+    v = rng.uniform(-3, 3, (500, 4))
+    e = rng.uniform(0, 0.5, (500, 4))
+    v[rng.random(v.shape) < 0.1] = 0.0
+    v[rng.random(v.shape) < 0.05] = -0.0
+    e[rng.random(e.shape) < 0.2] = 0.0
+    for values, errors in ([[2.0, 3.0, 4.0], [0.1, 0.2, 0.3]],
+                           [[2.0, 0.5, 1e300, 1e300, 4.0, 0.0], [0.0, 0.0, 0.1, 0.2, 0.0, 1.0]],
+                           *zip(v, e)):
+        x = make_uncertain(values, errors)
+        out = cumulative_prod(x)
+        step = x[0].as_vector()
+        steps = [step]
+        for i in range(1, len(x)):
+            step = propagate_binary("mul", step, x[i].as_vector())
+            steps.append(step)
+        assert _same(out.values, [s.values[0] for s in steps])
+        assert _same(out.errors, [s.errors[0] for s in steps])
 
 
 def test_diff_rule():
@@ -294,3 +318,90 @@ def test_zero_error_in_zero_error_out():
     for fn in UNARY_RULES:
         out = propagate_unary(fn, x)
         assert out.errors[0] == 0.0, fn
+
+
+# A copy of the np.where formulas the rules were first written with: each
+# rule's error is |df/dx| dx (0 where dx is 0) combined in quadrature with
+# |df/dy| dy, and a NaN value carries a NaN error.
+
+def _reference_term(deriv, err):
+    return np.where(err == 0.0, 0.0, np.abs(deriv) * err)
+
+
+def _reference_result(values, errors):
+    return values, np.where(np.isnan(values), np.nan, errors)
+
+
+def _vector(x):
+    # a plain number is exact
+    if isinstance(x, UncertainVector):
+        return x
+    return UncertainVector._unchecked(np.array([x]), np.array([0.0]))
+
+
+def _reference_unary(fn, x):
+    f, fp = UNARY_RULES[fn]
+    x = _vector(x)
+    with np.errstate(all="ignore"):
+        return _reference_result(f(x.values), _reference_term(fp(x.values), x.errors))
+
+
+def _reference_binary(fn, x, y):
+    f, dfdx, dfdy = BINARY_RULES[fn]
+    x, y = _vector(x), _vector(y)
+    n = max(len(x), len(y))
+    xv, xe, yv, ye = (np.repeat(a, n) if len(a) == 1 else a
+                      for a in (x.values, x.errors, y.values, y.errors))
+    with np.errstate(all="ignore"):
+        errors = np.hypot(_reference_term(dfdx(xv, yv), xe), _reference_term(dfdy(xv, yv), ye))
+        return _reference_result(f(xv, yv), errors)
+
+
+_SPECIAL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 1e-300, 1e300,
+                                   math.inf, -math.inf, math.nan])
+_VALUES = _SPECIAL_VALUES | st.floats()
+# results may carry infinite or NaN errors, so operands are built unchecked
+_ERRORS = st.sampled_from([0.0, -0.0, 0.1, 1.0, 1e300, math.inf, math.nan]) \
+    | st.floats(min_value=0.0)
+
+
+@st.composite
+def _operands(draw, n):
+    """A vector of length n, exact or not, a length-1 vector, or a plain number."""
+    kind = draw(st.sampled_from(["vector", "exact vector", "length-1", "number"]))
+    if kind == "number":
+        return draw(_VALUES)
+    m = 1 if kind == "length-1" else n
+    values = draw(st.lists(_VALUES, min_size=m, max_size=m))
+    errors = [0.0] * m if kind == "exact vector" else draw(
+        st.lists(_ERRORS, min_size=m, max_size=m))
+    return UncertainVector._unchecked(np.array(values), np.array(errors))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_rules_match_reference_formulas(data, n):
+    fn = data.draw(st.sampled_from(sorted(UNARY_RULES)))
+    x = data.draw(_operands(n))
+    got = propagate_unary(fn, x)
+    want = _reference_unary(fn, x)
+    assert _same(got.values, want[0]) and _same(got.errors, want[1])
+
+    fn = data.draw(st.sampled_from(sorted(BINARY_RULES)))
+    x, y = data.draw(_operands(n)), data.draw(_operands(n))
+    got = propagate_binary(fn, x, y)
+    want = _reference_binary(fn, x, y)
+    assert _same(got.values, want[0]) and _same(got.errors, want[1])
+
+
+def test_exact_operand_derivative_not_evaluated(monkeypatch):
+    x = make_uncertain([-2.0, 0.0, 3.0], [0.1, 0.2, 0.0])
+    want = propagate_binary("pow", x, 2.0)
+    f, dfdx, _ = BINARY_RULES["pow"]
+
+    def never(x, y):
+        raise AssertionError("d/dy evaluated for an exact exponent")
+
+    monkeypatch.setitem(BINARY_RULES, "pow", (f, dfdx, never))
+    for y in (2.0, make_uncertain([2.0], [0.0]), make_uncertain([2.0] * 3, 0.0)):
+        assert propagate_binary("pow", x, y) == want

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from errprop import (
     make_uncertain,
@@ -14,6 +16,7 @@ from errprop import (
     value_range,
     weighted_mean,
 )
+from errprop.core import UncertainVector
 from errprop.exceptions import EmptyInput, LengthMismatch, ZeroWeightSum
 from errprop.summaries import MEDIAN_FACTOR
 
@@ -140,6 +143,32 @@ def test_min_max_range():
     r = value_range(x)
     assert r.value == 2.0
     assert r.error == pytest.approx(math.hypot(0.1, 0.3))
+
+
+def _bits(s):
+    return np.float64(s.value).tobytes(), np.float64(s.error).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0]),
+                          st.floats(0, 1) | st.floats(0, 1e300) | st.sampled_from([0.0, 0.1])),
+                min_size=1, max_size=20))
+@example([(1.0, 0.2512675781710818), (2.0, 0.27674387428377045)])  # math.hypot's last bit differs
+def test_range_is_the_sub_rule(pairs):
+    x = UncertainVector(*zip(*pairs))
+    assert _bits(value_range(x)) == _bits(maximum(x) - minimum(x))
+
+
+def test_summaries_of_inf_minus_inf():
+    # a NaN value carries a NaN error, and no numpy warning leaks
+    x = make_uncertain([1.0, math.inf, -math.inf, 2.0], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (total, mean, median, lambda x: weighted_mean(x, [1, 2, 1, 1])):
+            out = fn(x)
+            assert math.isnan(out.error), fn
+        assert math.isnan(total(x).value) and math.isnan(mean(x).value)
+        assert mean(make_uncertain([1.0, math.inf], 1.0)).value == math.inf
 
 
 def test_empty_inputs():

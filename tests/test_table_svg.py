@@ -247,7 +247,8 @@ def _reference_classify(cells):
         parsed = [_reference_parse_value(c) for c in cells]
     except (NegativeError, ParseError):
         return cells
-    return UncertainVector._unchecked([p.value for p in parsed], [p.error for p in parsed])
+    return UncertainVector._unchecked(np.array([p.value for p in parsed], dtype=float),
+                                      np.array([p.error for p in parsed], dtype=float))
 
 
 def _bits(column):
