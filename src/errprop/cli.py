@@ -89,12 +89,14 @@ def _col_spec(pairs: list[str], what: str) -> list[tuple[str, str]]:
     return out
 
 
-def _load_table(args) -> tbl.Table:
+def _load_table(args, columns=None) -> tbl.Table:
+    """The input table with the errors the flags attach; only the named
+    columns are classified, when columns is given."""
     if args.input == "-":
-        table = tbl.read_csv(sys.stdin)
+        table = tbl.read_csv(sys.stdin, columns)
     else:
         with open(args.input, newline="") as fh:
-            table = tbl.read_csv(fh)
+            table = tbl.read_csv(fh, columns)
     for col, val in _col_spec(args.rel_error, "rel-error"):
         tbl.attach_errors(table, col, relative=parse_number(val))
     for col, val in _col_spec(args.abs_error, "abs-error"):
@@ -176,7 +178,11 @@ def cmd_mc(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    table = _load_table(args)
+    # the group column is classified too: numeric labels 1 and 1.0 share a color
+    used = {args.x, args.y, args.group}
+    for pair in args.rel_error + args.abs_error + args.error_col:
+        used.update(pair.split("=", 1))
+    table = _load_table(args, used)
     for name in (args.x, args.y):
         if name not in table.columns:
             raise ErrpropError(f"no such column: {name!r}")
@@ -192,7 +198,7 @@ def cmd_plot(args) -> int:
             raise ErrpropError(f"no such column: {args.group!r}")
         groups = [str(g) for g in table.columns[args.group]]
     svg = scatter_svg(x, y, groups, x_label=args.x, y_label=args.y)
-    with open(args.output, "w") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:  # as its XML declaration says
         fh.write(svg)
     return 0
 

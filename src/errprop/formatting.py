@@ -10,7 +10,8 @@ re-rounded.  A zero uncertainty prints the bare value.
 
 Both directions also work a column at a time, with the same grammar and
 the same rounding: parse_column reads a whole column in one regex pass,
-and format_column prints each pair through the routine format_value uses.
+and format_column decides with numpy, for the whole column, which pairs
+take format_value's printf branch and at which place.
 """
 
 from __future__ import annotations
@@ -93,24 +94,105 @@ def format_value(value: float, error: float, notation: Notation = Notation()) ->
 
 
 def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[str]:
-    """Format each element independently (no column-wide exponent alignment)."""
+    """Format each element independently (no column-wide exponent alignment).
+
+    Each cell is the text format_value gives its pair.  numpy finds, for
+    the whole column, the pairs _text prints by printf formats, with the
+    uncertainty's place and rounded digits; _at_place and _scientific join
+    their text, as for _text, and every other pair goes through _text.
+    """
     style, digits = notation.style, notation.digits
-    return [_text(v, e, style, digits)
-            for v, e in zip(x.values.tolist(), x.errors.tolist())]
+    values, errors = x.values.tolist(), x.errors.tolist()
+    out = [None] * len(values)
+    fixed, scientific, rest = _routes(x.values, x.errors, digits)
+    for i, place, q, qv in zip(*fixed):
+        out[i] = _at_place(values[i], errors[i], place, q, qv, style)
+    for i, decimals, q in zip(*scientific):
+        out[i] = _scientific("%.*e" % (decimals, values[i]), errors[i], q, style, digits)
+    for i in rest:
+        out[i] = _text(values[i], errors[i], style, digits)
+    return out
+
+
+# 10.0 ** k for k in [-290, 290], the Python floats _text scales by:
+# np.power's last bits may differ from them
+_TENS = np.array([10.0 ** k for k in range(-290, 291)])
+# float("1eL") for L in [-324, 309]: repr(v) has the exponent L where
+# float("1eL") <= |v| < float("1e(L+1)")
+_DECADES = np.array([float(f"1e{k}") for k in range(-324, 310)])
+
+
+def _at(table: np.ndarray, first: int, k: np.ndarray) -> np.ndarray:
+    """The entries for powers k of a table that starts at the power first,
+    k clipped to the table: a caller rejects what the clip changed."""
+    return table[np.clip(k - first, 0, len(table) - 1)]
+
+
+def _routes(v: np.ndarray, e: np.ndarray, digits: int):
+    """Route each pair of a column the way _text would.
+
+    Returns (indices, places, q, qv) of the pairs _text prints in fixed
+    notation, (indices, decimals, q) of those it prints in scientific
+    notation by printf, and the indices of the rest, as lists;
+    q and qv are the uncertainty and the value's magnitude rounded to
+    integers of units at the place.
+
+    The place starts from log10 and moves by one where the rounded
+    quotient y has digits + 1 digits or fewer than digits, which absorbs
+    log10's off-by-one at a power of ten and a carry into the next decade;
+    after the move y rounds to `digits` digits.  A pair is taken where
+    _text's guards hold at that place (y and x are the quotients _text
+    computes) and y lies no more than 0.04 below 10**(digits-1): after a
+    carry, a quotient of 9.499999999999999 units may scale to 9.5, which
+    rint carries and format(e, ".0e") does not.  A scientific value must
+    also round to fewer than decimals + 2 digits at the place, so that
+    printf's exponent is repr's: no carry.  It rounds to no fewer than
+    decimals + 1, as |v| >= float("1eL") lies within 2**-53 of 10**L.
+    """
+    av = np.abs(v)
+    fast = (e > 0) & (e < math.inf) & (av > 0) & (av < math.inf)
+    if digits > 12:  # places finer than 1e-12 of a number
+        fast[:] = False
+    lo, hi = 10.0 ** (digits - 1), 10.0 ** digits
+    with np.errstate(all="ignore"):  # log10(0), and inf beyond the float range
+        place = np.floor(np.log10(np.where(fast, e, 1.0))).astype(np.int64) - (digits - 1)
+        r = np.rint(e * _at(_TENS, -290, -place))
+        place += (r >= hi).astype(np.int64) - (r < lo)
+        scale = _at(_TENS, -290, -place)
+        x, y = av * scale, e * scale
+        q = np.rint(y)
+        fast &= ((np.abs(place) <= 290) & (y >= lo - 0.04) & (x < 1e12)
+                 & (np.abs(x % 1.0 - 0.5) > 0.01) & (np.abs(y % 1.0 - 0.5) > 0.01))
+        window = (av >= 1e-4) & (av < 1e16)  # repr(v) has no exponent
+        fixed = fast & window
+        # the scientific ones: repr's exponent, then the value's decimals
+        exp = np.floor(np.log10(np.where(fast, av, 1.0))).astype(np.int64)
+        exp += (av >= _at(_DECADES, -324, exp + 1)).astype(np.int64)
+        exp -= av < _at(_DECADES, -324, exp)
+        decimals = exp - place
+        mantissa = np.rint(x)
+        scientific = (fast & ~window & (decimals >= 0)
+                      & (mantissa < _at(_TENS, -290, decimals + 1)))
+        q, mantissa = q.astype(np.int64), mantissa.astype(np.int64)  # NaN where not taken
+    return ((np.flatnonzero(fixed).tolist(), place[fixed].tolist(), q[fixed].tolist(),
+             mantissa[fixed].tolist()),
+            (np.flatnonzero(scientific).tolist(), decimals[scientific].tolist(),
+             q[scientific].tolist()),
+            np.flatnonzero(~(fixed | scientific)).tolist())
 
 
 def _text(v: float, e: float, style: str, digits: int) -> str:
-    """Text of one pair: f-strings at the uncertainty's place, or _exact
-    where the two could differ.
+    """Text of one pair: printf formats at the uncertainty's place, or
+    _exact where the two could differ.
 
-    The f-strings round the binary value half to even; _exact rounds the
+    printf rounds the binary value half to even; _exact rounds the
     shortest repr digits half away from zero.  While a unit of the place
     is above 1e-12 of both numbers (so digits <= 12), float error stays
     below 1e-3 of a unit, and the two part only where a number's digits
     lie exactly half a unit off the place: pairs within 0.01 of a unit of
     such a half go to _exact.  So do places outside [-290, 290],
     scientific values whose rounding carries into the next decade (_exact
-    prints "10.0e+20" where an f-string prints "1.0e+21"), and zero, NaN
+    prints "10.0e+20" where printf prints "1.0e+21"), and zero, NaN
     and infinite numbers.
     """
     av = abs(v)
@@ -124,24 +206,44 @@ def _text(v: float, e: float, style: str, digits: int) -> str:
         if x < 1e12 and abs(x % 1.0 - 0.5) > 0.01 and abs(y % 1.0 - 0.5) > 0.01:
             qe = mantissa.replace(".", "")
             if 1e-4 <= av < 1e16:  # repr(v) has no exponent: [_SCI_LO, _SCI_HI]
-                if place < 0:
-                    value_text = format(v, f".{-place}f")  # keeps the sign of -0.000
-                else:
-                    value_text = format(round(v, -place), ".0f")
-                    qe += "0" * place
-                if style == PARENTHESIS:
-                    return f"{value_text}({qe})"
-                return f"{value_text} ± {format(e, f'.{-place}f') if place < 0 else qe}"
+                return _at_place(v, e, place, int(qe), round(x), style)
             exp = repr(v).partition("e")[2]
             decimals = int(exp) - place
             if decimals >= 0:
                 s = format(v, f".{decimals}e")
-                mv, _, sexp = s.partition("e")
-                if sexp == exp:  # no carry into the next decade
-                    if style == PARENTHESIS:
-                        return f"{mv}({qe})e{exp}"
-                    return f"{s} ± {es}"
+                if s.partition("e")[2] == exp:  # no carry into the next decade
+                    return _scientific(s, e, int(qe), style, digits)
     return _exact(v, e, style, digits)
+
+
+def _at_place(v: float, e: float, place: int, q: int, qv: int, style: str) -> str:
+    """Text of a pair in fixed notation at the uncertainty's place, q and
+    qv being the uncertainty's and the value's magnitudes rounded to units
+    of the place.
+
+    printf rounds the binary value half to even, so the caller keeps the
+    pair clear of halves.  At a place of units or above, the value is the
+    integer qv * 10**place, which is below 1e16 and even from 2**53 on, so
+    a float: the text format(round(v, -place), ".0f") would give.
+    """
+    if place < 0:
+        if style == PARENTHESIS:
+            return "%.*f(%d)" % (-place, v, q)  # keeps the sign of -0.000
+        return "%.*f ± %.*f" % (-place, v, -place, e)
+    unit = 10**place
+    value_text = f"{'-' if v < 0 else ''}{qv * unit}"  # -0 as round(v, -place) is -0.0
+    if style == PARENTHESIS:
+        return f"{value_text}({q * unit})"
+    return f"{value_text} ± {q * unit}"
+
+
+def _scientific(s: str, e: float, q: int, style: str, digits: int) -> str:
+    """Text of a pair in scientific notation, s being the value's printf
+    text at the uncertainty's place ("-1.234e+20") and q the uncertainty's
+    rounded digits."""
+    if style == PARENTHESIS:
+        return s.replace("e", f"({q})e")
+    return f"{s} ± {format(e, f'.{digits - 1}e')}"
 
 
 def _exact(value: float, error: float, style: str, digits: int) -> str:

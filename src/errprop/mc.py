@@ -107,7 +107,7 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
                                    f"{start + m} of {cfg.samples}")
     out = out[:kept]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = _rescaled(lambda o: [float(np.mean(o)), float(np.std(o, ddof=1))], out)
+        mean, sd = _rescaled(lambda o: [_mean(o), float(np.std(o, ddof=1))], out)
         med, mad, *quantiles = _rescaled(lambda o: _order_stats(o, cfg.quantiles), out)
     return McResult(mean=mean, sd=sd, median=med, mad=mad,
                     quantile_values=tuple(quantiles), n_nonfinite=n_bad)
@@ -125,6 +125,13 @@ def _rescaled(stats_of, out: np.ndarray) -> list[float]:
     k = math.frexp(max(-out.min(), out.max()))[1] - 256
     scaled = stats_of(out * 2.0**-k)
     return [s if math.isfinite(s) else t * 2.0**k for s, t in zip(stats, scaled)]
+
+
+def _mean(o: np.ndarray) -> float:
+    """np.mean(o), but summed from -0.0, the additive identity, where numpy
+    starts from 0.0: draws that are all -0.0 have the mean -0.0.  Any
+    other draws give np.mean's bits."""
+    return float(np.add.reduce(o, initial=-0.0) / o.size)
 
 
 def _order_stats(out: np.ndarray, quantiles: tuple) -> list[float]:
@@ -147,7 +154,7 @@ def _order_stats(out: np.ndarray, quantiles: tuple) -> list[float]:
     else:
         out.sort()
         lo, hi = (out.size - 1) // 2, out.size // 2 + 1  # the one or two middle ranks
-        med = float(np.median(out[lo:hi]))
+        med = _mean(out[lo:hi])
         mad = np.median([_kth_deviation(out, med, j) for j in range(lo, hi)])
         qs = np.quantile(out, quantiles, overwrite_input=True)  # out is read last
     return [med, float(MAD_SCALE * mad), *map(float, qs)]

@@ -8,6 +8,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .core import UncertainVector, errors_max, errors_min
@@ -31,21 +33,34 @@ class _Axis:
             lo, hi = 0.0, 1.0
         if hi <= lo:
             lo, hi = lo - 0.5, hi + 0.5
+            if hi <= lo:  # from 2**53 on, floats are further apart than 0.5
+                pad = abs(lo) * 2.0**-50
+                lo, hi = lo - pad, hi + pad
         self.lo, self.hi = lo, hi
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v: np.ndarray) -> list[float]:
+        """Pixel coordinates of v, by the same float operations, in the
+        same order, as for one Python float."""
         f = (v - self.lo) / (self.hi - self.lo)
-        return self.pix_lo + f * (self.pix_hi - self.pix_lo)
+        return (self.pix_lo + f * (self.pix_hi - self.pix_lo)).tolist()
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+# characters XML 1.0 forbids: C0 controls other than tab, LF and CR, lone
+# surrogates, U+FFFE and U+FFFF (compiled at first use, by re's cache)
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _escape(text: str) -> str:
     # XML character data; xml.sax.saxutils would import urllib and ssl
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return re.sub(_NOT_XML, "\ufffd", text)
+
+
+# one point: its horizontal and vertical error bars, then its marker
+_ROW = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" class="xbar"/>\n'
+        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" class="ybar"/>\n'
+        f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="none" stroke="%s" class="pt"/>')
 
 
 def scatter_svg(
@@ -63,19 +78,24 @@ def scatter_svg(
         raise ValueError("groups length mismatch")
 
     mx, my = WIDTH * MARGIN_FRAC, HEIGHT * MARGIN_FRAC
-    xmin, xmax = errors_min(x), errors_max(x)
-    ymin, ymax = errors_min(y), errors_max(y)
-    xaxis = _Axis(
-        float(np.min(xmin)) if n else 0.0,
-        float(np.max(xmax)) if n else 1.0,
-        mx, WIDTH - mx,
-    )
-    # SVG y grows downward
-    yaxis = _Axis(
-        float(np.min(ymin)) if n else 0.0,
-        float(np.max(ymax)) if n else 1.0,
-        HEIGHT - my, my,
-    )
+    # past the float range a coordinate is inf, with no warning, as for
+    # Python floats
+    with np.errstate(all="ignore"):
+        xmin, xmax = errors_min(x), errors_max(x)
+        ymin, ymax = errors_min(y), errors_max(y)
+        xaxis = _Axis(
+            float(np.min(xmin)) if n else 0.0,
+            float(np.max(xmax)) if n else 1.0,
+            mx, WIDTH - mx,
+        )
+        # SVG y grows downward
+        yaxis = _Axis(
+            float(np.min(ymin)) if n else 0.0,
+            float(np.max(ymax)) if n else 1.0,
+            HEIGHT - my, my,
+        )
+        cx, cy = xaxis(x.values), yaxis(y.values)
+        x0, x1, y0, y1 = xaxis(xmin), xaxis(xmax), yaxis(ymin), yaxis(ymax)
 
     color_of = {}
     if groups is not None:
@@ -87,29 +107,15 @@ def scatter_svg(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="{_fmt(mx)}" y="{_fmt(my)}" width="{_fmt(WIDTH - 2 * mx)}" '
-        f'height="{_fmt(HEIGHT - 2 * my)}" fill="none" stroke="#000000"/>',
+        f'<rect x="{mx:.2f}" y="{my:.2f}" width="{WIDTH - 2 * mx:.2f}" '
+        f'height="{HEIGHT - 2 * my:.2f}" fill="none" stroke="#000000"/>',
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
         f'font-size="14">{_escape(x_label)}</text>',
         f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 14 {HEIGHT // 2})">{_escape(y_label)}</text>',
     ]
-    for i in range(n):
-        color = color_of[groups[i]] if groups is not None else PALETTE[0]
-        cx, cy = xaxis(float(x.values[i])), yaxis(float(y.values[i]))
-        x0, x1 = xaxis(float(xmin[i])), xaxis(float(xmax[i]))
-        y0, y1 = yaxis(float(ymin[i])), yaxis(float(ymax[i]))
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(cy)}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(cy)}" stroke="{color}" class="xbar"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(y0)}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(y1)}" stroke="{color}" class="ybar"/>'
-        )
-        parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{POINT_RADIUS}" '
-            f'fill="none" stroke="{color}" class="pt"/>'
-        )
+    colors = [color_of[g] for g in groups] if groups is not None else [PALETTE[0]] * n
+    parts += [_ROW % row for row in zip(x0, cy, x1, cy, colors, cx, y0, cx, y1, colors,
+                                         cx, cy, colors)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -67,12 +67,14 @@ class Table:
         return [list(row) for row in zip(*cols)] if cols else []
 
 
-def read_csv(stream) -> Table:
+def read_csv(stream, columns=None) -> Table:
     """Read an RFC-4180 CSV with a header row into a Table.
 
     Each column is read whole by parse_column: a float array when every
     cell is a bare number ("2", "1e-3", "-Inf"), an UncertainVector when
-    parse_value reads every cell, else text.
+    parse_value reads every cell, else text.  Given a collection of names
+    as columns, only those columns are classified and the others stay
+    text; the header and every row are checked all the same.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -94,7 +96,9 @@ def read_csv(stream) -> Table:
         rows.append(row)
     table = Table()
     for j, name in enumerate(header):
-        table.add(name, _classify([row[j].strip() for row in rows]))
+        cells = [row[j].strip() for row in rows]
+        table.add(name, cells if columns is not None and name not in columns
+                  else _classify(cells))
     return table
 
 

@@ -377,6 +377,16 @@ def test_mc_exact_negative_zero(capsys):
     assert doc["mcm_mean"] == pytest.approx(-math.pi, rel=1e-3)
 
 
+@pytest.mark.parametrize("argv", [["k", "k=-0"], ["x*0", "x=-1(0.1)"]])
+def test_mc_negative_zero_mean_and_median(capsys, argv):
+    # every draw is -0.0: the sums behind the mean and the median start from -0.0
+    code, out, _ = run(capsys, "mc", *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for key in ("tsm_value", "mcm_mean", "mcm_median"):
+        assert math.copysign(1.0, doc[key]) == -1.0 and doc[key] == 0, key
+
+
 def test_mc_nonfinite_is_exit_2(capsys):
     # stopped in the first chunks, not after 10^7 draws
     code, out, err = run(capsys, "mc", "sqrt(x)", "x=0(1)", "--samples", "10000000")

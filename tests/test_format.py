@@ -3,7 +3,7 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from errprop import Notation, format_column, format_value, make_uncertain, parse_value
 from errprop.core import UncertainVector
@@ -410,19 +410,50 @@ def _reference_format_column(x, notation):
 _TIES = [0.15, 2.5, 25.0, 2500.0, 0.05, 0.125, 0.35, 9.5, 0.095, 4.5]
 _CARRIES = [9.96, 99.96, 0.0996, 9.9996]
 _SPECIAL = [0.0, 5e-324, 1e23, 1.7976931348623157e308, math.inf]
+
+
+def _around(x):
+    """x and its neighbours one ulp either side."""
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+# 10**k and its neighbours, where log10 can be one off, and the edges of
+# the fixed-notation window
+_POWERS = [y for k in range(-20, 21) for y in _around(float(f"1e{k}"))]
+_EDGES = [y for x in (1e-4, 1e16, 2.0**53, 1e12) for y in _around(x)]
 _scaled_digits = st.builds(lambda m, k: m * 10.0 ** k,
                            st.sampled_from(_TIES + _CARRIES), st.integers(-25, 25))
 _magnitudes = (st.floats(min_value=0.0, allow_nan=False) | st.sampled_from(_SPECIAL)
-               | _scaled_digits | st.floats(1e-6, 1e6))
+               | _scaled_digits | st.floats(1e-6, 1e6) | st.sampled_from(_POWERS + _EDGES))
 _values = st.builds(lambda m, s: math.copysign(m, s), _magnitudes, st.sampled_from([1.0, -1.0]))
+_signs = st.sampled_from([1.0, -1.0])
+# a value whose repr digits lie half a unit off the place of an uncertainty
+# of any number of digits, and an uncertainty of k nines and a five or a
+# six, which carries at k digits or fewer, or lies at the carry's half
+# unit (0.95 is 0.9499999999999999556: it does not carry at one digit)
+_tie_pairs = st.builds(lambda m, c, p, s: (s * float(f"{m}5e{p - 1}"), float(f"{c}e{p}")),
+                       st.integers(0, 10**12), st.integers(1, 10**17), st.integers(-25, 25),
+                       _signs)
+_carry_pairs = st.builds(lambda v, k, d, p: (v, float(f"{'9' * k}{d}e{p - 1}")),
+                         _values, st.integers(0, 17), st.sampled_from("56"),
+                         st.integers(-25, 25))
+# the last two are below 9.5 units of a place but scale to 9.5 exactly
+_HALF_CARRIES = [float(f"{'9' * k}{d}e{p}") for k in (1, 2) for d in "56"
+                 for p in (-5, -2, 3)] + [9.499999999999999e-05, 949999.9999999999]
 _pairs = (st.tuples(_values, _magnitudes)
           | st.tuples(_values, _values.map(abs).map(lambda m: m / 10.0 ** 3))
-          | st.tuples(st.just(math.nan), _magnitudes | st.just(math.nan)))
+          | st.tuples(st.just(math.nan), _magnitudes | st.just(math.nan))
+          | _tie_pairs | _carry_pairs)
 
 
 @settings(max_examples=400, deadline=None)
-@given(pairs=st.lists(_pairs, max_size=12), digits=st.integers(1, 17),
+@given(pairs=st.lists(_pairs, max_size=200), digits=st.integers(1, 17),
        style=st.sampled_from(["parenthesis", "plus-minus"]))
+@example(pairs=[(1.0, e) for e in _POWERS] + [(v, 1e-6) for v in _EDGES], digits=1,
+         style="parenthesis")
+@example(pairs=[(-v, e) for v, e in zip(_EDGES, _POWERS[::-1])], digits=3, style="plus-minus")
+@example(pairs=[(v, e) for v in (1.0, 1e20) for e in _HALF_CARRIES], digits=1,
+         style="parenthesis")
 def test_format_column_matches_reference(pairs, digits, style):
     notation = Notation(style, digits)
     # results may carry infinite errors, so build the column unchecked

@@ -10,7 +10,7 @@ from errprop import McConfig, compare_tsm_mcm, eval_numeric, mc, mc_propagate, p
 from errprop.core import UncertainScalar
 from errprop.exceptions import NonFiniteSamples, UnboundVariable
 from errprop.expr import free_variables
-from errprop.mc import MAD_SCALE, MAX_SAMPLES, _order_stats
+from errprop.mc import MAD_SCALE, MAX_SAMPLES, _mean, _order_stats
 
 
 def xy_env():
@@ -144,9 +144,22 @@ def test_plain_numbers_in_env():
     assert out.mean == pytest.approx(6.0, abs=0.02)
 
 
+def _negative_zeros(out):
+    """Whether out holds -0.0 and not 0.0."""
+    zeros = out[out == 0]
+    return zeros.size > 0 and bool(np.signbit(zeros).all())
+
+
+def _reference_mean(out):
+    return -0.0 if _negative_zeros(out) and not out.any() else float(np.mean(out))
+
+
 def _reference_order_stats(out, quantiles):
-    """Median, MAD and quantiles as three separate numpy calls on the draws."""
+    """Median, MAD and quantiles as three separate numpy calls on the draws,
+    but a median of -0.0 where the middle ranks are -0.0."""
     med = float(np.median(out))
+    if _negative_zeros(out) and not np.sort(out)[(out.size - 1) // 2:out.size // 2 + 1].any():
+        med = -0.0  # the middle ranks are -0.0
     return [med, float(MAD_SCALE * np.median(np.abs(out - med))),
             *map(float, np.quantile(out, quantiles))]
 
@@ -172,12 +185,29 @@ _POOL = [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 0.5, 5e-324, 1e308, -1e308]
 @example([1.0, 2.0, 3.0])  # deviations tied across the two runs
 @example([0.0, -0.0, 0.0, 1.0])  # both zeros
 @example([1e308, 1.5e308])  # the median overflows
+@example([-0.0])  # the median of -0.0 is -0.0
+@example([-1.0, -0.0, -0.0, 2.0])
+@example([-1.0, -0.0, 1.0, 2.0])  # the middle ranks are -0.0 and 1.0
+@example([-3.0, -0.0, 5e-324, 1.0])  # -0.0 and 5e-324, whose mean underflows to 0.0
 def test_order_stats_bitwise_equal_to_numpy(values):
     out = np.array(values)
     with np.errstate(all="ignore"):  # overflow in either is the same overflow
         got = _order_stats(out.copy(), QUANTILES)
         want = _reference_order_stats(out, QUANTILES)
     assert _bits(*got) == _bits(*want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_POOL) | st.floats(-1e300, 1e300), min_size=1, max_size=300))
+@example([-0.0])
+@example([-0.0] * 200)
+@example([-0.0, 0.0])
+@example([-1.0, 1.0, -0.0])
+def test_mean_is_numpys_from_negative_zero(values):
+    # np.mean's bits, pairwise blocks included, but -0.0 for all -0.0
+    out = np.array(values)
+    with np.errstate(all="ignore"):  # overflow in either is the same overflow
+        assert _bits(_mean(out)) == _bits(_reference_mean(out))
 
 
 def _streams(seed, names):
@@ -198,7 +228,7 @@ def _reference(ast, env, cfg):
         draws[name] = rng.normal(value, error, n) if error else value
     out = np.broadcast_to(eval_numeric(ast, draws), n)
     out = out[np.isfinite(out)]
-    return out, (n - out.size, _bits(np.mean(out), np.std(out, ddof=1),
+    return out, (n - out.size, _bits(_reference_mean(out), np.std(out, ddof=1),
                                      *_reference_order_stats(out, cfg.quantiles)))
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from errprop import eval_uncertain, formatting, make_uncertain, parse_expr, table
+from errprop import eval_uncertain, formatting, make_uncertain, parse_expr, svg, table
+from errprop.cli import main
 from errprop.core import UncertainScalar, UncertainVector
 from errprop.exceptions import ErrpropError, NegativeError, ParseError
 from errprop.svg import scatter_svg
@@ -193,6 +194,121 @@ def test_svg_labels_escaped():
     root = ET.fromstring(scatter_svg(x, y, x_label="a<b & c", y_label='"y" > 0'))
     labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert labels == ["a<b & c", '"y" > 0']
+
+
+def test_svg_labels_forbidden_in_xml_replaced():
+    x, y = _plot_vectors(3)
+    label = "a\x01b\x00\x0b\x1f\ud800\udfff\ufffe\uffff\tc"
+    root = ET.fromstring(scatter_svg(x, y, x_label=label, y_label="\x7f\u00e9"))
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["a\ufffdb" + "\ufffd" * 7 + "\tc", "\x7f\u00e9"]
+
+
+def _reference_svg_rows(x, y, groups=None):
+    """The point rows of scatter_svg as it wrote them one point at a time,
+    with Python floats and ten formats a row, on the same axis ranges."""
+    def axis(lo, hi, pix_lo, pix_hi):
+        a = svg._Axis(lo, hi, pix_lo, pix_hi)
+        lo, hi = a.lo, a.hi
+        return lambda v: pix_lo + (v - lo) / (hi - lo) * (pix_hi - pix_lo)
+
+    fmt = "{:.2f}".format
+    with np.errstate(all="ignore"):
+        xmin, xmax = x.values - x.errors, x.values + x.errors
+        ymin, ymax = y.values - y.errors, y.values + y.errors
+    n = len(x)
+    xaxis = axis(float(np.min(xmin)) if n else 0.0, float(np.max(xmax)) if n else 1.0,
+                 40.0, 760.0)
+    yaxis = axis(float(np.min(ymin)) if n else 0.0, float(np.max(ymax)) if n else 1.0,
+                 570.0, 30.0)
+    color_of = {}
+    for g in groups or ():
+        color_of.setdefault(g, svg.PALETTE[len(color_of) % len(svg.PALETTE)])
+    rows = []
+    for i in range(n):
+        color = color_of[groups[i]] if groups is not None else svg.PALETTE[0]
+        cx, cy = xaxis(float(x.values[i])), yaxis(float(y.values[i]))
+        x0, x1 = xaxis(float(xmin[i])), xaxis(float(xmax[i]))
+        y0, y1 = yaxis(float(ymin[i])), yaxis(float(ymax[i]))
+        rows.append(f'<line x1="{fmt(x0)}" y1="{fmt(cy)}" x2="{fmt(x1)}" '
+                    f'y2="{fmt(cy)}" stroke="{color}" class="xbar"/>')
+        rows.append(f'<line x1="{fmt(cx)}" y1="{fmt(y0)}" x2="{fmt(cx)}" '
+                    f'y2="{fmt(y1)}" stroke="{color}" class="ybar"/>')
+        rows.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.0" '
+                    f'fill="none" stroke="{color}" class="pt"/>')
+    return rows
+
+
+_svg_values = (st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1e308, 5e-324, 1e-300]))
+_svg_errors = st.floats(0.0, 1.7976931348623157e308) | st.sampled_from([0.0, 5e-324, 1e308])
+# legal pairs: a finite nonnegative uncertainty, or NaN on a NaN value
+_svg_pairs = st.tuples(_svg_values, _svg_errors) | st.just((math.nan, math.nan))
+_svg_labels = st.text(st.characters() | st.sampled_from(
+    list("&<>\"'\x00\x01\x08\t\n\r\x0b\x0c\x1f\x7f\ud800\udbff\udfff\ufffe\uffff")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_svg_pairs, _svg_pairs, st.sampled_from("abcdefghij")),
+                       max_size=30),
+       grouped=st.booleans(), x_label=_svg_labels, y_label=_svg_labels)
+def test_svg_well_formed_and_equal_to_row_loop(points, grouped, x_label, y_label):
+    x = UncertainVector([p[0][0] for p in points], [p[0][1] for p in points])
+    y = UncertainVector([p[1][0] for p in points], [p[1][1] for p in points])
+    groups = [p[2] for p in points] if grouped else None
+    out = scatter_svg(x, y, groups, x_label=x_label, y_label=y_label)
+    root = ET.fromstring(out)
+    n = len(points)
+    assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == n
+    assert len(root.findall("{http://www.w3.org/2000/svg}line")) == 2 * n
+    # an escaped label holds no "<": every line that starts with one is markup
+    rows = [line for line in out.split("\n") if line.startswith(("<line", "<circle"))]
+    assert rows == _reference_svg_rows(x, y, groups)
+
+
+@pytest.mark.parametrize("v", [4503599627370498.0, -1e300, 1.7976931348623157e308])
+def test_svg_one_point_beyond_half_unit_spacing(v):
+    # v - 0.5 and v + 0.5 round back to v: the range is widened in
+    # proportion, not divided by zero
+    x = make_uncertain([v], [0.0])
+    root = ET.fromstring(scatter_svg(x, make_uncertain([1.0], [0.1])))
+    assert 40.0 <= float(root.find("{http://www.w3.org/2000/svg}circle").get("cx")) <= 760.0
+
+
+def test_read_csv_classifies_only_named_columns():
+    t = read_csv("a,b,c\n1(1),2,x\n", columns={"a", "missing"})
+    assert isinstance(t.columns["a"], UncertainVector)
+    assert (t.columns["b"], t.columns["c"]) == (["2"], ["x"])
+    # the header and every row are still checked
+    with pytest.raises(ErrpropError, match="line 3: expected 2 cells, found 1"):
+        read_csv("a,b\n1,2\n3\n", columns={"a"})
+    with pytest.raises(ErrpropError, match="duplicate column 'b'"):
+        read_csv("a,b,b\n1,2,3\n", columns={"a"})
+
+
+def test_plot_classifies_only_the_columns_it_draws(tmp_path, monkeypatch):
+    src = tmp_path / "p.csv"
+    src.write_text("g,a,b,c,e,f\n1,1(1),2,3(1),0.1,u\n1.0,2(1),3,4(1),0.2,v\n",
+                   encoding="utf-8")
+    classified, classify = [], table._classify
+    monkeypatch.setattr(table, "_classify",
+                        lambda cells: classified.append(cells[0]) or classify(cells))
+    out = tmp_path / "o.svg"
+    assert main(["plot", str(src), "--x", "a", "--y", "b", "--error-col", "b=e",
+                 "--group", "g", "-o", str(out)]) == 0
+    assert classified == ["1", "1(1)", "2", "0.1"]  # g, a, b and e
+    # numeric labels 1 and 1.0 are one group, with one color
+    circles = ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}circle")
+    assert {c.get("stroke") for c in circles} == {svg.PALETTE[0]}
+
+
+def test_plot_label_with_control_character(tmp_path):
+    src = tmp_path / "c.csv"
+    src.write_text("a\x01b,y\n1(1),2(1)\n3(1),4(1)\n", encoding="utf-8")
+    out = tmp_path / "o.svg"
+    assert main(["plot", str(src), "--x", "a\x01b", "--y", "y", "-o", str(out)]) == 0
+    labels = [t.text for t in ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["a\ufffdb", "y"]
 
 
 # parse_value and the plain-cell test as they were before the column
