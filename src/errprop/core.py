@@ -224,13 +224,17 @@ def get_errors(x: UncertainVector) -> np.ndarray:
 
 
 def errors_min(x: UncertainVector) -> np.ndarray:
-    """Lower interval bound: values - errors, elementwise."""
-    return x.values - x.errors
+    """Lower interval bound: values - errors, elementwise (-inf past the
+    float range)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.values - x.errors
 
 
 def errors_max(x: UncertainVector) -> np.ndarray:
-    """Upper interval bound: values + errors, elementwise."""
-    return x.values + x.errors
+    """Upper interval bound: values + errors, elementwise (inf past the
+    float range)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.values + x.errors
 
 
 def subset(x: UncertainVector, indices) -> UncertainVector:

@@ -9,16 +9,19 @@ place is recomputed from the carried uncertainty and both numbers are
 re-rounded.  A zero uncertainty prints the bare value.
 
 Both directions also work a column at a time, with the same grammar and
-the same rounding: parse_column reads a whole column in one regex pass,
-and format_column decides with numpy, for the whole column, which pairs
-take format_value's printf branch and at which place.
+the same rounding: parse_column checks a whole column with one regex
+match and reads it a form at a time by str.split and float(), and
+format_column decides with numpy, for the whole column, which pairs take
+format_value's printf branch and at which place.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -85,6 +88,20 @@ def _bare(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return f"{v:.0f}"  # exact for these; keeps the sign of -0.0
     return repr(v)
+
+
+def _bare_column(x: np.ndarray) -> list[str]:
+    """_bare of each number of a float array: numpy finds the integers
+    below 1e16, which take "%.0f", and the numbers that are not finite,
+    which take _bare; the rest take repr."""
+    whole = (np.abs(x) < 1e16) & (np.trunc(x) == x)
+    finite = np.isfinite(x)
+    rest = finite & ~whole
+    out = np.empty(len(x), dtype=object)
+    out[whole] = list(map("%.0f".__mod__, x[whole].tolist()))
+    out[rest] = list(map(repr, x[rest].tolist()))
+    out[~finite] = list(map(_bare, x[~finite].tolist()))
+    return out.tolist()
 
 
 def format_value(value: float, error: float, notation: Notation = Notation()) -> str:
@@ -291,26 +308,33 @@ def _exact(value: float, error: float, style: str, digits: int) -> str:
 
 
 # One number at every text boundary, the text _bare writes: a finite
-# numeral, or inf or nan in any letter case, with an optional sign.
-_DIGITS = r"(?:\d+(?:\.\d*)?|\.\d+)"
-_EXP = r"[eE][+-]?\d+"
-_NUMERAL = rf"{_DIGITS}(?:{_EXP})?"
+# numeral, or inf or nan in any letter case, with an optional sign.  No
+# piece can end where the next begins, so every quantifier is possessive:
+# a failing cell is not retried, and a text column fails at its first cell.
+_DIGITS = r"(?:\d++(?:\.\d*+)?+|\.\d++)"
+_EXP = r"[eE][+-]?+\d++"
+_NUMERAL = rf"{_DIGITS}(?:{_EXP})?+"
 _NONFINITE = r"(?i:inf|nan)"
-_NUMBER = rf"[+-]?(?:{_NUMERAL}|{_NONFINITE})"
-_MANTISSA = rf"(?:{_DIGITS}|{_NONFINITE})"
+_NUMBER = rf"[+-]?+(?>{_NUMERAL}|{_NONFINITE})"
+_MANTISSA = rf"(?>{_DIGITS}|{_NONFINITE})"
+_SEP = r"(?:±|\+/-)"
 
-# The measurement forms, with the groups _pair takes.  A cell starts at the
-# start of the text or after a NUL and ends before a NUL or at the end, so
-# parse_value fullmatches a cell and parse_column finds all the cells of a
-# NUL-joined column in one scan.
+# The measurement forms, with the groups _pair takes: parse_value and
+# parse_column's fallback fullmatch one cell.
 _PAREN = rf"([+-]?{_MANTISSA})\(({_MANTISSA})\)({_EXP})?"
-_PM = (rf"(?P<lp>\()?\s*({_NUMBER})\s*(?:±|\+/-)\s*({_NUMBER})\s*(?(lp)\))"
-       rf"({_EXP})?")
-_MEASUREMENT_RE = re.compile(
-    rf"(?:^|(?<=\x00))\s*(?:{_PAREN}|{_PM}|({_NUMBER}))\s*(?=\x00|\Z)")
+_PM = rf"(?P<lp>\()?\s*({_NUMBER})\s*{_SEP}\s*({_NUMBER})\s*(?(lp)\))({_EXP})?"
+_MEASUREMENT_RE = re.compile(rf"\s*(?:{_PAREN}|{_PM}|({_NUMBER}))\s*")
 _NUMBER_RE = re.compile(_NUMBER)
 # a NUL-joined column of bare numbers, each cell exactly one number
-_NUMBERS_RE = re.compile(rf"{_NUMBER}(?:\x00{_NUMBER})*")
+_NUMBERS_RE = re.compile(rf"{_NUMBER}(?:\x00{_NUMBER})*+")
+# The same forms with no groups, factored on their leading number (a
+# parenthesis, or a plus-minus or bare tail, with an exponent only after
+# digits), and a parenthesised plus-minus pair: a NUL-joined column of
+# cells, checked by one fullmatch.  Compiled on first use, by re's cache.
+_CELL = (rf"\s*+(?>[+-]?+{_MANTISSA}(?>\({_MANTISSA}\)(?:{_EXP})?+"
+         rf"|(?:(?<=[\d.]){_EXP})?+(?:\s*+{_SEP}\s*+{_NUMBER}\s*+(?:{_EXP})?+)?+)"
+         rf"|\(\s*+{_NUMBER}\s*+{_SEP}\s*+{_NUMBER}\s*+\)(?:{_EXP})?+)\s*+")
+_CELLS = rf"{_CELL}(?:\x00{_CELL})*+"
 
 
 # an exponent's magnitude saturates here: a numeral would need about this
@@ -382,25 +406,99 @@ def parse_number(s: str) -> float:
 
 
 def parse_column(cells: list[str]) -> np.ndarray | UncertainVector | None:
-    """Read a column of cells, joined with NUL, in one pass: a float array
-    when one match of the bare-number pattern covers the text; else an
-    UncertainVector from one scan of parse_value's pattern, with the bits
-    parse_value gives each pair, checked once; else None, as parse_value
-    would raise on some cell (a cell holding a NUL is one)."""
-    if not cells:
+    """Read a column of cells: a float array when every cell is a bare
+    number, an UncertainVector when parse_value reads every cell, else
+    None, as parse_value would raise on some cell (a cell holding a NUL is
+    one).
+
+    One fullmatch over the NUL-joined column checks every cell against the
+    grammar.  Cells are then read a form at a time, by float() over the
+    pieces that str.split leaves (_parenthesis_pairs, _plus_minus_pairs,
+    and bare numbers), with the bits parse_value gives each pair; the rest
+    (a "+/-" or a parenthesised plus-minus pair, an uncertainty that
+    _parenthesis_pairs cannot scale exactly, and every cell of a form where
+    float() or int() refused a piece) go through _pair one at a time.
+    """
+    n = len(cells)
+    if not n:
         return np.empty(0)
     text = "\x00".join(cells)
-    # a text column fails at its first cell, before the whole pass
-    if text.count("\x00") != len(cells) - 1 or not _MEASUREMENT_RE.match(text):
+    if text.count("\x00") != n - 1:  # a cell holding a NUL
         return None
     if _NUMBERS_RE.fullmatch(text):
-        return np.array([float(c) for c in cells])
-    values, errors = [], []
-    for m in _MEASUREMENT_RE.finditer(text):  # one match at a time, not all at once
-        v, e = _pair(*m.groups())
-        values.append(v)
-        errors.append(e)
+        return np.fromiter(map(float, cells), float, n)
+    if not re.fullmatch(_CELLS, text):
+        return None
+    paren, pm, slash = (np.fromiter(map(operator.contains, cells, repeat(s)), bool, n)
+                        if s in text else np.zeros(n, bool) for s in ("(", "±", "+/-"))
+    values, errors, read = np.empty(n), np.empty(n), np.zeros(n, bool)
+    for pairs, form in ((_parenthesis_pairs, paren & ~pm & ~slash),
+                        (_plus_minus_pairs, pm & ~paren), (_bare_pairs, ~(paren | pm | slash))):
+        if not form.any():
+            continue
+        try:
+            v, e, exact = pairs(list(compress(cells, form)))
+        except ValueError:  # a piece float() or int() does not read as the grammar does
+            continue
+        values[form], errors[form] = v, e
+        read[form] = exact
+    for i in np.flatnonzero(~read).tolist():
+        values[i], errors[i] = _pair(*_MEASUREMENT_RE.fullmatch(cells[i]).groups())
     try:
-        return UncertainVector(values, errors) if len(values) == len(cells) else None
+        return UncertainVector(values, errors)
     except NegativeError:  # an illegal pair
         return None
+
+
+# 10.0 ** k for k in [0, 22], each exact
+_EXACT_TENS = np.array([float(f"1e{k}") for k in range(23)])
+
+
+def _parenthesis_pairs(cells: list[str]):
+    """Values, uncertainties and an exactness mask of parenthesis cells.
+
+    A value is float() of its mantissa and exponent.  An uncertainty of
+    digits with no point refers to the mantissa's last decimals: it is
+    u * 10**k, k being the exponent less those decimals.  Where u < 2**53
+    and |k| <= 22, both u and 10**|k| are exact floats, so one IEEE
+    multiplication or division rounds their product correctly, as float()
+    rounds the decimal text _pair writes (Clinger 1990).  An uncertainty
+    with a point takes the exponent alone, so it is float() of its text
+    where there is no exponent.  The mask is False on the other cells.
+    """
+    n = len(cells)
+    parts = "\x00".join(cells).replace("(", "\x00").replace(")", "\x00").split("\x00")
+    mantissas, digits, exponents = parts[0::3], parts[1::3], parts[2::3]
+    values = np.fromiter(map(float, map(operator.add, mantissas, exponents)), float, n)
+    u = np.fromiter(map(float, digits), float, n)
+    point = np.fromiter(map(str.find, mantissas, repeat(".")), np.int64, n)
+    decimals = np.where(point < 0, 0, np.fromiter(map(len, mantissas), np.int64, n) - point - 1)
+    dotted = np.fromiter(map(operator.contains, digits, repeat(".")), bool, n)
+    expn, short = np.zeros(n, np.int64), np.ones(n, bool)
+    for i in compress(count(), exponents):
+        x = exponents[i]
+        if len(x) > 6:  # a long one goes to _pair, which caps it
+            short[i] = False
+        else:
+            expn[i] = int(x[1:])
+    k = expn - np.where(dotted, 0, decimals)
+    exact = short & ((k == 0) | (~dotted & (u < 2.0**53) & (np.abs(k) <= 22)))
+    with np.errstate(over="ignore"):  # a product that overflows is not exact
+        errors = np.where(k < 0, u / _EXACT_TENS[np.clip(-k, 0, 22)],
+                          u * _EXACT_TENS[np.clip(k, 0, 22)])
+    return values, errors, exact
+
+
+def _plus_minus_pairs(cells: list[str]):
+    """Values, uncertainties and an exactness mask of "v ± u" cells: float()
+    of each side reads its own exponent, as _scaled does."""
+    n = len(cells)
+    parts = "\x00".join(cells).replace("±", "\x00").split("\x00")
+    return (np.fromiter(map(float, parts[0::2]), float, n),
+            np.fromiter(map(float, parts[1::2]), float, n), np.ones(n, bool))
+
+
+def _bare_pairs(cells: list[str]):
+    """Values, zero uncertainties and an exactness mask of bare numbers."""
+    n = len(cells)
+    return np.fromiter(map(float, cells), float, n), np.zeros(n), np.ones(n, bool)

@@ -20,7 +20,7 @@ from .exceptions import ErrpropError
 from .expr import parse_expr, eval_uncertain
 # parse_value stays a name here, where perfbench/spans.py traces it,
 # though read_csv reads every column through parse_column
-from .formatting import Notation, _bare, format_column, parse_column, parse_value
+from .formatting import Notation, _bare_column, format_column, parse_column, parse_value
 from . import summaries
 
 __all__ = ["Table", "read_csv", "attach_errors", "derive_column", "summarize"]
@@ -61,7 +61,7 @@ class Table:
             if isinstance(col, UncertainVector):
                 cols.append(format_column(col, notation))
             elif isinstance(col, np.ndarray):
-                cols.append([_bare(v) for v in col.tolist()])
+                cols.append(_bare_column(col))
             else:
                 cols.append([str(v) for v in col])
         return [list(row) for row in zip(*cols)] if cols else []

@@ -1,5 +1,6 @@
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,14 @@ def test_interval_bounds():
     assert errors_max(y)[0] == 1.0 + 1 / 30
     z = make_uncertain([7.0], [0.0])
     assert errors_min(z)[0] == errors_max(z)[0] == 7.0
+
+
+def test_interval_bounds_past_the_float_range():
+    # inf, with no overflow warning (pyproject makes a RuntimeWarning an error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert errors_max(make_uncertain([1.7e308], [1e308])).tolist() == [np.inf]
+        assert errors_min(make_uncertain([-1.7e308], [1e308])).tolist() == [-np.inf]
 
 
 def test_subset_and_concat():

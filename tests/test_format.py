@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from errprop import Notation, format_column, format_value, make_uncertain, parse_value
 from errprop.core import UncertainVector
-from errprop.exceptions import ParseError
-from errprop.formatting import parse_column, parse_number
+from errprop.exceptions import NegativeError, ParseError
+from errprop.formatting import (_CELL, _MEASUREMENT_RE, _NUMBERS_RE, _bare_column, _pair,
+                                parse_column, parse_number)
 
 PAREN = Notation("parenthesis")
 PM = Notation("plus-minus")
@@ -464,6 +466,13 @@ def test_format_column_matches_reference(pairs, digits, style):
     assert [format_value(v, e, notation) for v, e in pairs] == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats() | _values | st.integers(-10**17, 10**17).map(float)
+                   | st.sampled_from([-0.0, 1e16 - 2, -math.nan]), max_size=50))
+def test_bare_column_matches_bare(xs):
+    assert _bare_column(np.array(xs, dtype=float)) == [_reference_bare(v) for v in xs]
+
+
 @pytest.mark.parametrize("notation", [PAREN, PM, Notation("plus-minus", 16)],
                          ids=["parenthesis", "plus-minus", "plus-minus-16"])
 def test_uncertainty_rounded_past_float_range_reads_back(notation):
@@ -477,3 +486,150 @@ def test_uncertainty_rounded_past_float_range_reads_back(notation):
         assert text == "0e-324 ± 1.7976931348623157e+308"
     # 1.7e308 at one digit is 2e308 too; a fixed value prints it in full
     assert parse_value(format_value(1.0, 1.7e308, notation)).error == 1.7e308
+
+
+# The reference for parse_column: one finditer scan of the per-cell
+# pattern over the NUL-joined column, anchored at NULs, with _pair per
+# match.  Its patterns have no possessive quantifier and no atomic group.
+_REF_DIGITS = r"(?:\d+(?:\.\d*)?|\.\d+)"
+_REF_EXP = r"[eE][+-]?\d+"
+_REF_NUMBER = rf"[+-]?(?:{_REF_DIGITS}(?:{_REF_EXP})?|(?i:inf|nan))"
+_REF_MANTISSA = rf"(?:{_REF_DIGITS}|(?i:inf|nan))"
+_REF_MEASUREMENT_RE = re.compile(
+    rf"(?:^|(?<=\x00))\s*(?:([+-]?{_REF_MANTISSA})\(({_REF_MANTISSA})\)({_REF_EXP})?"
+    rf"|(?P<lp>\()?\s*({_REF_NUMBER})\s*(?:±|\+/-)\s*({_REF_NUMBER})\s*(?(lp)\))"
+    rf"({_REF_EXP})?|({_REF_NUMBER}))\s*(?=\x00|\Z)")
+_REF_NUMBERS_RE = re.compile(rf"{_REF_NUMBER}(?:\x00{_REF_NUMBER})*")
+
+
+def _reference_parse_column(cells):
+    if not cells:
+        return np.empty(0)
+    text = "\x00".join(cells)
+    if text.count("\x00") != len(cells) - 1 or not _REF_MEASUREMENT_RE.match(text):
+        return None
+    if _REF_NUMBERS_RE.fullmatch(text):
+        return np.array([float(c) for c in cells])
+    values, errors = [], []
+    for m in _REF_MEASUREMENT_RE.finditer(text):
+        v, e = _pair(*m.groups())
+        values.append(v)
+        errors.append(e)
+    try:
+        return UncertainVector(values, errors) if len(values) == len(cells) else None
+    except NegativeError:
+        return None
+
+
+def _column_bits(column):
+    if isinstance(column, UncertainVector):
+        return "uncertain", column.values.tobytes(), column.errors.tobytes()
+    if isinstance(column, np.ndarray):
+        return "numeric", column.tobytes()
+    return column
+
+
+def _assert_column_matches_reference(cells):
+    assert _column_bits(parse_column(cells)) == _column_bits(_reference_parse_column(cells))
+
+
+def _assert_grammar_matches_reference(s):
+    # the same cells, with the same groups for _pair, and the same bare numbers
+    ref = _REF_MEASUREMENT_RE.fullmatch(s)
+    m = _MEASUREMENT_RE.fullmatch(s)
+    assert (m and (m.groups(), m.regs)) == (ref and (ref.groups(), ref.regs))
+    assert bool(re.fullmatch(_CELL, s)) == bool(ref)
+    assert bool(_NUMBERS_RE.fullmatch(s)) == bool(_REF_NUMBERS_RE.fullmatch(s))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(s=_texts)
+def test_grammar_matches_reference(s):
+    _assert_grammar_matches_reference(s)
+
+
+# cells of every form, with the features parse_column's routes part on:
+# points, long mantissas and uncertainties, exponents short and long,
+# Unicode digits and spaces, inf and nan, and both separators
+_digit_runs = (st.text("0123456789", min_size=1, max_size=19)
+               | st.sampled_from(["٢", "١٠", "0" * 25, "9007199254740993", "123456789012345678",
+                                 "9" * 300]))
+_dotted = st.builds(lambda a, b: f"{a}.{b}", _digit_runs, _digit_runs | st.just(""))
+_mantissa_texts = st.one_of(_digit_runs, _dotted, _dotted, _digit_runs.map(lambda b: f".{b}"),
+                            _dotted, st.sampled_from(["inf", "Inf", "NaN", "nan"]))
+_exponent_texts = (
+    st.builds(lambda e, s, k: f"{e}{s}{k}", st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+              st.integers(0, 30) | st.integers(0, 400))
+    | st.sampled_from(["e+00", "e٢", f"e-{'0' * 25}3", "e" + "1" * 30, "e99999"]))
+_optional_exponents = st.one_of(st.just(""), st.just(""), _exponent_texts)
+_cell_signs = st.sampled_from(["", "", "-", "+"])
+# mostly none: a space float() refuses sends the cell's whole form to _pair
+_spaces = st.sampled_from([""] * 12 + [" ", "\t", "\u2003", "\x1c"])
+_number_texts = st.builds(lambda s, m, e: s + m + (e if m[-1] not in "fFnN" else ""),
+                          _cell_signs, _mantissa_texts, _optional_exponents)
+_paren_cells = st.builds(lambda w, s, m, u, e, t: f"{w}{s}{m}({u}){e}{t}",
+                         _spaces, _cell_signs, _mantissa_texts, _mantissa_texts,
+                         _optional_exponents, _spaces)
+_pm_cells = st.builds(
+    lambda w, a, sep, b, e, t, lp: (f"{w}({a}{sep}{b}){e}{t}" if lp else f"{w}{a}{sep}{b}{e}{t}"),
+    _spaces, _number_texts, st.sampled_from([" ± ", " ± ", "±", " +/- ", " ±  "]),
+    _number_texts, st.sampled_from([""] * 4) | _exponent_texts, _spaces,
+    st.sampled_from([False] * 4 + [True]))
+_bare_cells = st.builds(lambda w, n, t: f"{w}{n}{t}", _spaces, _number_texts, _spaces)
+_grammar_columns = st.lists(st.one_of(_paren_cells, _paren_cells, _pm_cells, _bare_cells),
+                            min_size=1, max_size=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cells=_grammar_columns)
+def test_parse_column_matches_reference(cells):
+    for cell in cells:
+        _assert_grammar_matches_reference(cell)
+    _assert_column_matches_reference(cells)
+    # one wrong cell makes the whole column None, as it did
+    _assert_column_matches_reference(cells + ["1(1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_texts, min_size=1, max_size=12))
+def test_parse_column_of_any_text_matches_reference(cells):
+    _assert_column_matches_reference(cells)
+
+
+# cells format_value never writes, next to cells of the fast routes: an
+# uncertainty with a point and an exponent would lose its last bit if
+# scaled, an 18-digit uncertainty is past 2**53, 10**23 is not an exact
+# float, and inf, nan and Unicode digits take float()'s own reading
+_GUARDED = ["0.3(0.1)e3", "0.5(1.1)e2", "2.5(0.7)e-1", "1.5(123456789012345678)",
+            "1.5(2)e-25", "1(7)e23", "1.5(3)e-22", "1.5(3)e-21", "inf(1)", "1(inf)e2",
+            "٢(١)", "1 ± 2e3e4", "1 +/- 2", "(1 ± 2)e3", "1.5(2) ", "1.5(2)e3\x1c", "inf(1)e3",
+            "1 ± infe4", "2.5(3)e" + "0" * 30 + "1", "1.5(2)e-3", "0.0001(1)e22", "1(1)e-22",
+            "1.23456789012345(6)e-8", "-0(1)", "nan(nan)", "NaN ± NaN", "1 ± 2 e4",
+            f"1({'9' * 300})e22"]
+# read, but an infinite uncertainty on a finite value is no legal pair
+_ILLEGAL = ("1(inf)e2", "1 ± infe4", f"1({'9' * 300})e22")
+_FAST = ["5.3623(64)", "-2.5(3)e+20", "1.0e2 ± 5", "42", "1.25 ± 0.5", "12300(500)"]
+
+
+@pytest.mark.parametrize("cell", _GUARDED)
+def test_parse_column_guards_each_route(cell):
+    for cells in ([cell], [cell] + _FAST, _FAST + [cell] + _FAST, [cell, cell]):
+        _assert_column_matches_reference(cells)
+    assert (parse_column([cell] + _FAST) is None) == (cell in _ILLEGAL)
+
+
+def test_parse_column_matches_reference_on_long_shuffled_columns():
+    rng = np.random.default_rng(16)
+    values = (10.0 ** rng.uniform(-30, 30, 400)) * rng.choice([-1.0, 1.0], 400)
+    errors = np.abs(values) * 10.0 ** rng.uniform(-6, 0, 400)
+    pool = [format_value(v, e, Notation(style, digits))
+            for v, e in zip(values.tolist(), errors.tolist())
+            for style, digits in (("parenthesis", 1), ("plus-minus", 2), ("parenthesis", 17))]
+    pool += [repr(v) for v in values[:50].tolist()] + _GUARDED + _FAST
+    for size in (1_000, 2_500):
+        for _ in range(4):
+            cells = rng.choice(pool, size).tolist()
+            _assert_column_matches_reference(cells)
+            legal = [c for c in cells if c not in _ILLEGAL]
+            assert isinstance(parse_column(legal), UncertainVector)
+            _assert_column_matches_reference(legal)

@@ -437,14 +437,14 @@ def _uncertain_csv(rows):
 
 
 def test_read_csv_reads_uncertain_columns_whole(monkeypatch):
-    calls, parse_value = [], formatting.parse_value
+    # no cell of either form written by format_value takes the per-cell fallback
+    calls, pair = [], formatting._pair
 
-    def counted(s):
-        calls.append(s)
-        return parse_value(s)
+    def counted(*groups):
+        calls.append(groups)
+        return pair(*groups)
 
-    monkeypatch.setattr(table, "parse_value", counted)
-    monkeypatch.setattr(formatting, "parse_value", counted)
+    monkeypatch.setattr(formatting, "_pair", counted)
     t = read_csv(_uncertain_csv(2_000))
     assert calls == []
     assert all(isinstance(t.columns[n], UncertainVector) for n in "abcd")
