@@ -139,9 +139,9 @@ class UncertainScalar:
         return str(self)
 
     def __str__(self) -> str:
-        from .formatting import Notation, format_value
+        from .formatting import format_value
 
-        return format_value(self.value, self.error, Notation())
+        return format_value(self.value, self.error)
 
 
 def as_uncertain(x) -> UncertainVector:

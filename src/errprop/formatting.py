@@ -11,8 +11,8 @@ re-rounded.  A zero uncertainty prints the bare value.
 Both directions also work a column at a time, with the same grammar and
 the same rounding: parse_column checks a whole column with one regex
 match and reads it a form at a time by str.split and float(), and
-format_column decides with numpy, for the whole column, which pairs take
-format_value's printf branch and at which place.
+format_column decides with numpy, for the whole column, which pairs
+printf formats print as format_value does, and at which place.
 """
 
 from __future__ import annotations
@@ -107,16 +107,16 @@ def _bare_column(x: np.ndarray) -> list[str]:
 def format_value(value: float, error: float, notation: Notation = Notation()) -> str:
     """Render a value/uncertainty pair in the requested notation."""
     # repr of a numpy float64 is "np.float64(...)"; the text is read off repr
-    return _text(float(value), float(error), notation.style, notation.digits)
+    return _exact(float(value), float(error), notation.style, notation.digits)
 
 
 def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[str]:
     """Format each element independently (no column-wide exponent alignment).
 
     Each cell is the text format_value gives its pair.  numpy finds, for
-    the whole column, the pairs _text prints by printf formats, with the
-    uncertainty's place and rounded digits; _at_place and _scientific join
-    their text, as for _text, and every other pair goes through _text.
+    the whole column, the pairs printf formats print as _exact does, with
+    the uncertainty's place and rounded digits (_routes); _at_place and
+    _scientific join their text, and every other pair goes through _exact.
     """
     style, digits = notation.style, notation.digits
     values, errors = x.values.tolist(), x.errors.tolist()
@@ -127,12 +127,12 @@ def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[s
     for i, decimals, q in zip(*scientific):
         out[i] = _scientific("%.*e" % (decimals, values[i]), errors[i], q, style, digits)
     for i in rest:
-        out[i] = _text(values[i], errors[i], style, digits)
+        out[i] = _exact(values[i], errors[i], style, digits)
     return out
 
 
-# 10.0 ** k for k in [-290, 290], the Python floats _text scales by:
-# np.power's last bits may differ from them
+# 10.0 ** k for k in [-290, 290], the scales of _routes' quotients: each
+# is within an ulp of 10**k, as its 1e-3 bound on their error assumes
 _TENS = np.array([10.0 ** k for k in range(-290, 291)])
 # float("1eL") for L in [-324, 309]: repr(v) has the exponent L where
 # float("1eL") <= |v| < float("1e(L+1)")
@@ -146,25 +146,29 @@ def _at(table: np.ndarray, first: int, k: np.ndarray) -> np.ndarray:
 
 
 def _routes(v: np.ndarray, e: np.ndarray, digits: int):
-    """Route each pair of a column the way _text would.
+    """Route each pair of a column to printf formats where they give
+    _exact's text: returns (indices, places, q, qv) of the pairs printed in
+    fixed notation, (indices, decimals, q) of those printed in scientific
+    notation, and the indices of the rest, for _exact, as lists; q and qv
+    are the uncertainty and the value's magnitude rounded to units of the
+    place.
 
-    Returns (indices, places, q, qv) of the pairs _text prints in fixed
-    notation, (indices, decimals, q) of those it prints in scientific
-    notation by printf, and the indices of the rest, as lists;
-    q and qv are the uncertainty and the value's magnitude rounded to
-    integers of units at the place.
+    printf rounds the binary value half to even, _exact the repr digits
+    half away from zero.  With digits <= 12 and x < 1e12, the quotients
+    x = |v| / 10**place and y = e / 10**place lie within 1e-3 of a unit of
+    the exact ones, so the two part only where a number lies half a unit
+    off the place: pairs within 0.01 of a unit of a half go to _exact, as
+    do places outside [-290, 290] and zero, NaN and infinite numbers.
 
-    The place starts from log10 and moves by one where the rounded
-    quotient y has digits + 1 digits or fewer than digits, which absorbs
-    log10's off-by-one at a power of ten and a carry into the next decade;
-    after the move y rounds to `digits` digits.  A pair is taken where
-    _text's guards hold at that place (y and x are the quotients _text
-    computes) and y lies no more than 0.04 below 10**(digits-1): after a
-    carry, a quotient of 9.499999999999999 units may scale to 9.5, which
-    rint carries and format(e, ".0e") does not.  A scientific value must
-    also round to fewer than decimals + 2 digits at the place, so that
-    printf's exponent is repr's: no carry.  It rounds to no fewer than
-    decimals + 1, as |v| >= float("1eL") lies within 2**-53 of 10**L.
+    The place starts from log10 and moves by one where y rounds to
+    digits + 1 digits or fewer than digits (log10's off-by-one at a power
+    of ten, and _exact's decade carry).  y must then lie no more than 0.04
+    below 10**(digits-1): after a carry, 9.499999999999999 units may scale
+    to 9.5, which rint carries and _exact does not.  A value outside
+    [1e-4, 1e16) takes scientific notation and must round to fewer than
+    decimals + 2 digits, so that printf's exponent is repr's (_exact
+    prints "10.0e+20" where printf gives "1.0e+21"); it rounds to no fewer
+    than decimals + 1, as |v| >= float("1eL") lies within 2**-53 of 10**L.
     """
     av = np.abs(v)
     fast = (e > 0) & (e < math.inf) & (av > 0) & (av < math.inf)
@@ -198,66 +202,31 @@ def _routes(v: np.ndarray, e: np.ndarray, digits: int):
             np.flatnonzero(~(fixed | scientific)).tolist())
 
 
-def _text(v: float, e: float, style: str, digits: int) -> str:
-    """Text of one pair: printf formats at the uncertainty's place, or
-    _exact where the two could differ.
-
-    printf rounds the binary value half to even; _exact rounds the
-    shortest repr digits half away from zero.  While a unit of the place
-    is above 1e-12 of both numbers (so digits <= 12), float error stays
-    below 1e-3 of a unit, and the two part only where a number's digits
-    lie exactly half a unit off the place: pairs within 0.01 of a unit of
-    such a half go to _exact.  So do places outside [-290, 290],
-    scientific values whose rounding carries into the next decade (_exact
-    prints "10.0e+20" where printf prints "1.0e+21"), and zero, NaN
-    and infinite numbers.
-    """
-    av = abs(v)
-    if 0 < e < math.inf and 0 < av < math.inf and digits <= 12:
-        # the uncertainty at `digits` significant digits, after any carry
-        es = format(e, f".{digits - 1}e")
-        mantissa, _, top = es.partition("e")
-        place = int(top) - digits + 1
-        scale = 10.0 ** -place if -290 <= place <= 290 else math.inf
-        x, y = av * scale, e * scale  # within 1e-3 of the exact quotients
-        if x < 1e12 and abs(x % 1.0 - 0.5) > 0.01 and abs(y % 1.0 - 0.5) > 0.01:
-            qe = mantissa.replace(".", "")
-            if 1e-4 <= av < 1e16:  # repr(v) has no exponent: [_SCI_LO, _SCI_HI]
-                return _at_place(v, e, place, int(qe), round(x), style)
-            exp = repr(v).partition("e")[2]
-            decimals = int(exp) - place
-            if decimals >= 0:
-                s = format(v, f".{decimals}e")
-                if s.partition("e")[2] == exp:  # no carry into the next decade
-                    return _scientific(s, e, int(qe), style, digits)
-    return _exact(v, e, style, digits)
-
-
 def _at_place(v: float, e: float, place: int, q: int, qv: int, style: str) -> str:
     """Text of a pair in fixed notation at the uncertainty's place, q and
     qv being the uncertainty's and the value's magnitudes rounded to units
     of the place.
 
-    printf rounds the binary value half to even, so the caller keeps the
-    pair clear of halves.  At a place of units or above, the value is the
-    integer qv * 10**place, which is below 1e16 and even from 2**53 on, so
-    a float: the text format(round(v, -place), ".0f") would give.
+    printf rounds the binary value half to even and _exact the repr digits
+    half away from zero, so _routes keeps the pair clear of halves.  At a
+    place of units or above, the value is the integer qv * 10**place, as
+    _exact writes it.
     """
     if place < 0:
         if style == PARENTHESIS:
             return "%.*f(%d)" % (-place, v, q)  # keeps the sign of -0.000
         return "%.*f ± %.*f" % (-place, v, -place, e)
     unit = 10**place
-    value_text = f"{'-' if v < 0 else ''}{qv * unit}"  # -0 as round(v, -place) is -0.0
+    value_text = f"{'-' if v < 0 else ''}{qv * unit}"  # -0 as _exact keeps the sign
     if style == PARENTHESIS:
         return f"{value_text}({q * unit})"
     return f"{value_text} ± {q * unit}"
 
 
 def _scientific(s: str, e: float, q: int, style: str, digits: int) -> str:
-    """Text of a pair in scientific notation, s being the value's printf
-    text at the uncertainty's place ("-1.234e+20") and q the uncertainty's
-    rounded digits."""
+    """_exact's text of a pair in scientific notation, s being the value's
+    printf text at the uncertainty's place with repr's exponent
+    ("-1.234e+20") and q the uncertainty's rounded digits (see _routes)."""
     if style == PARENTHESIS:
         return s.replace("e", f"({q})e")
     return f"{s} ± {format(e, f'.{digits - 1}e')}"

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from errprop import Notation, format_column, format_value, make_uncertain, parse_value
 from errprop.core import UncertainVector
 from errprop.exceptions import NegativeError, ParseError
-from errprop.formatting import (_CELL, _MEASUREMENT_RE, _NUMBERS_RE, _bare_column, _pair,
-                                parse_column, parse_number)
+from errprop.formatting import (_CELL, _MEASUREMENT_RE, _NUMBERS_RE, _bare_column, _exact,
+                                _pair, parse_column, parse_number)
 
 PAREN = Notation("parenthesis")
 PM = Notation("plus-minus")
@@ -464,6 +464,8 @@ def test_format_column_matches_reference(pairs, digits, style):
     expected = _reference_format_column(x, notation)
     assert format_column(x, notation) == expected
     assert [format_value(v, e, notation) for v, e in pairs] == expected
+    # the column fast path against the specification it stands in for
+    assert format_column(x, notation) == [_exact(v, e, style, digits) for v, e in pairs]
 
 
 @settings(max_examples=300, deadline=None)

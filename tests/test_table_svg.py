@@ -450,6 +450,23 @@ def test_read_csv_reads_uncertain_columns_whole(monkeypatch):
     assert all(isinstance(t.columns[n], UncertainVector) for n in "abcd")
 
 
+@pytest.mark.parametrize("digits", [1, 2, 3])
+def test_format_column_prints_most_pairs_by_printf(monkeypatch, digits):
+    # every text test passes if _routes sends all pairs to _exact; this one
+    # holds the fast path to its share of a column of ordinary pairs
+    calls, exact = [], formatting._exact
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(formatting, "_exact", counted)
+    rng = np.random.default_rng(17)
+    x = UncertainVector(rng.uniform(-1e3, 1e3, 10_000), rng.uniform(1e-3, 1.0, 10_000))
+    formatting.format_column(x, Notation(digits=digits))
+    assert len(calls) < 1_000
+
+
 def _read_csv_peak(text):
     """tracemalloc peak, in bytes, of read_csv on text."""
     tracemalloc.start()
