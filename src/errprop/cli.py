@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import table as tbl
+from .core import UncertainVector
 from .exceptions import ErrpropError
 from .expr import eval_uncertain, parse_expr
 from .formatting import Notation, format_value, parse_number, parse_value
@@ -186,8 +187,6 @@ def cmd_plot(args) -> int:
     for name in (args.x, args.y):
         if name not in table.columns:
             raise ErrpropError(f"no such column: {name!r}")
-    from .core import UncertainVector
-
     x, y = table.columns[args.x], table.columns[args.y]
     if not isinstance(x, UncertainVector) or not isinstance(y, UncertainVector):
         raise ErrpropError("x and y must be uncertain columns "

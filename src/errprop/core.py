@@ -2,7 +2,8 @@
 
 Values and uncertainties travel in lockstep through every structural
 operation.  All functions are pure; vectors are immutable after
-construction.
+construction.  The modules that own a behaviour install it on these
+classes: propagation the operators, formatting str() of a scalar.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class UncertainVector:
     The constructors of both classes check their input by `_legal`; data
     already inside the program (results, slices, elements) is built by
     `_unchecked` and never checked again, so it may carry an infinite or
-    NaN uncertainty.  Operators come from the table `_OPERATORS` below.
+    NaN uncertainty.  The arithmetic operators are installed by
+    `propagation`, from its table `_OPERATORS`.
     """
 
     __slots__ = ("values", "errors")
@@ -113,7 +115,8 @@ class UncertainVector:
 class UncertainScalar:
     """A single quantity value with its standard uncertainty.
 
-    Its operators are the vector ones applied to the length-1 vector.
+    Its operators (from `propagation`) are the vector ones applied to the
+    length-1 vector; str() (from `formatting`) is the default notation.
     """
 
     value: float
@@ -138,11 +141,6 @@ class UncertainScalar:
             return format(self.value, spec)
         return str(self)
 
-    def __str__(self) -> str:
-        from .formatting import format_value
-
-        return format_value(self.value, self.error)
-
 
 def as_uncertain(x) -> UncertainVector:
     """Coerce plain numbers/sequences to an exact (error 0) UncertainVector."""
@@ -152,57 +150,6 @@ def as_uncertain(x) -> UncertainVector:
         return x.as_vector()
     values = _frozen(x)  # a view: the caller's own array stays writable
     return UncertainVector._unchecked(values, np.zeros_like(values))
-
-
-# propagation rule -> operator method names: (method,) for unary rules,
-# (method, reflected method) for binary ones
-_OPERATORS = {
-    "add": ("__add__", "__radd__"),
-    "sub": ("__sub__", "__rsub__"),
-    "mul": ("__mul__", "__rmul__"),
-    "div": ("__truediv__", "__rtruediv__"),
-    "pow": ("__pow__", "__rpow__"),
-    "neg": ("__neg__",),
-    "abs": ("__abs__",),
-}
-
-
-def _unary_operator(fn: str):
-    def method(self):
-        from .propagation import propagate_unary
-
-        return propagate_unary(fn, self)
-
-    return method
-
-
-def _binary_operator(fn: str, reflected: bool):
-    # plain numbers are exact (error 0); operands are always independent
-    def method(self, other):
-        from .propagation import propagate_binary
-
-        if reflected:
-            return propagate_binary(fn, other, self)
-        return propagate_binary(fn, self, other)
-
-    return method
-
-
-def _scalar_operator(vector_method):
-    # a scalar is the length-1 vector; a length-1 result is a scalar again
-    def method(self, *other):
-        out = vector_method(self.as_vector(), *other)
-        return out[0] if len(out) == 1 else out
-
-    return method
-
-
-for _fn, _names in _OPERATORS.items():
-    for _name, _reflected in zip(_names, (False, True)):
-        _method = (_unary_operator(_fn) if len(_names) == 1
-                   else _binary_operator(_fn, _reflected))
-        setattr(UncertainVector, _name, _method)
-        setattr(UncertainScalar, _name, _scalar_operator(_method))
 
 
 def make_uncertain(values: Sequence[float], errors) -> UncertainVector:

@@ -6,7 +6,8 @@ significant digits (default 1) and the value is rounded to the same
 decimal place.  Rounding is half-away-from-zero; if rounding the
 uncertainty carries it into the next decade (0.099 -> 0.1), the display
 place is recomputed from the carried uncertainty and both numbers are
-re-rounded.  A zero uncertainty prints the bare value.
+re-rounded.  A zero uncertainty prints the bare value.  str() of an
+UncertainScalar, installed here, is format_value in the default notation.
 
 Both directions also work a column at a time, with the same grammar and
 the same rounding: parse_column checks a whole column with one regex
@@ -110,6 +111,9 @@ def format_value(value: float, error: float, notation: Notation = Notation()) ->
     return _exact(float(value), float(error), notation.style, notation.digits)
 
 
+UncertainScalar.__str__ = lambda self: format_value(self.value, self.error)
+
+
 def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[str]:
     """Format each element independently (no column-wide exponent alignment).
 
@@ -131,18 +135,17 @@ def format_column(x: UncertainVector, notation: Notation = Notation()) -> list[s
     return out
 
 
-# 10.0 ** k for k in [-290, 290], the scales of _routes' quotients: each
-# is within an ulp of 10**k, as its 1e-3 bound on their error assumes
-_TENS = np.array([10.0 ** k for k in range(-290, 291)])
-# float("1eL") for L in [-324, 309]: repr(v) has the exponent L where
-# float("1eL") <= |v| < float("1e(L+1)")
-_DECADES = np.array([float(f"1e{k}") for k in range(-324, 310)])
+# float("1ek") for k in [-324, 309], 10**k correctly rounded (0.0 at -324,
+# inf at 309): each is within half an ulp of 10**k, as _routes' 1e-3 bound
+# on its quotients assumes, exact for k in [0, 22], and repr(v) has the
+# exponent L where float("1eL") <= |v| < float("1e(L+1)")
+_TENS = np.array([float(f"1e{k}") for k in range(-324, 310)])
 
 
-def _at(table: np.ndarray, first: int, k: np.ndarray) -> np.ndarray:
-    """The entries for powers k of a table that starts at the power first,
-    k clipped to the table: a caller rejects what the clip changed."""
-    return table[np.clip(k - first, 0, len(table) - 1)]
+def _ten(k: np.ndarray) -> np.ndarray:
+    """float("1ek") for each power k, k clipped to the table: a caller
+    rejects what the clip changed."""
+    return _TENS[np.clip(k + 324, 0, len(_TENS) - 1)]
 
 
 def _routes(v: np.ndarray, e: np.ndarray, digits: int):
@@ -177,23 +180,23 @@ def _routes(v: np.ndarray, e: np.ndarray, digits: int):
     lo, hi = 10.0 ** (digits - 1), 10.0 ** digits
     with np.errstate(all="ignore"):  # log10(0), and inf beyond the float range
         place = np.floor(np.log10(np.where(fast, e, 1.0))).astype(np.int64) - (digits - 1)
-        r = np.rint(e * _at(_TENS, -290, -place))
+        r = np.rint(e * _ten(-place))
         place += (r >= hi).astype(np.int64) - (r < lo)
-        scale = _at(_TENS, -290, -place)
+        scale = _ten(-place)
         x, y = av * scale, e * scale
         q = np.rint(y)
         fast &= ((np.abs(place) <= 290) & (y >= lo - 0.04) & (x < 1e12)
                  & (np.abs(x % 1.0 - 0.5) > 0.01) & (np.abs(y % 1.0 - 0.5) > 0.01))
-        window = (av >= 1e-4) & (av < 1e16)  # repr(v) has no exponent
+        window = (av >= _ten(_SCI_LO)) & (av < _ten(_SCI_HI + 1))  # repr(v) has no exponent
         fixed = fast & window
         # the scientific ones: repr's exponent, then the value's decimals
         exp = np.floor(np.log10(np.where(fast, av, 1.0))).astype(np.int64)
-        exp += (av >= _at(_DECADES, -324, exp + 1)).astype(np.int64)
-        exp -= av < _at(_DECADES, -324, exp)
+        exp += (av >= _ten(exp + 1)).astype(np.int64)
+        exp -= av < _ten(exp)
         decimals = exp - place
         mantissa = np.rint(x)
         scientific = (fast & ~window & (decimals >= 0)
-                      & (mantissa < _at(_TENS, -290, decimals + 1)))
+                      & (mantissa < _ten(decimals + 1)))
         q, mantissa = q.astype(np.int64), mantissa.astype(np.int64)  # NaN where not taken
     return ((np.flatnonzero(fixed).tolist(), place[fixed].tolist(), q[fixed].tolist(),
              mantissa[fixed].tolist()),
@@ -419,10 +422,6 @@ def parse_column(cells: list[str]) -> np.ndarray | UncertainVector | None:
         return None
 
 
-# 10.0 ** k for k in [0, 22], each exact
-_EXACT_TENS = np.array([float(f"1e{k}") for k in range(23)])
-
-
 def _parenthesis_pairs(cells: list[str]):
     """Values, uncertainties and an exactness mask of parenthesis cells.
 
@@ -453,8 +452,7 @@ def _parenthesis_pairs(cells: list[str]):
     k = expn - np.where(dotted, 0, decimals)
     exact = short & ((k == 0) | (~dotted & (u < 2.0**53) & (np.abs(k) <= 22)))
     with np.errstate(over="ignore"):  # a product that overflows is not exact
-        errors = np.where(k < 0, u / _EXACT_TENS[np.clip(-k, 0, 22)],
-                          u * _EXACT_TENS[np.clip(k, 0, 22)])
+        errors = np.where(k < 0, u / _ten(np.clip(-k, 0, 22)), u * _ten(np.clip(k, 0, 22)))
     return values, errors, exact
 
 

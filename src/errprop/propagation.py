@@ -7,13 +7,15 @@ same measurement are deliberately treated as independent inputs: adding
 a measurement to itself is physically two measurements.
 
 The general matrix law `J S J^T` is available for custom Jacobians.
+The operators of UncertainVector and UncertainScalar are installed here,
+from the table `_OPERATORS` beside the rules they apply.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import UncertainVector, as_uncertain
+from .core import UncertainScalar, UncertainVector, as_uncertain
 from .exceptions import (
     DimensionMismatch,
     LengthMismatch,
@@ -83,6 +85,19 @@ BINARY_RULES = {
 
 UNARY_FUNCTIONS = frozenset(UNARY_RULES)
 BINARY_FUNCTIONS = frozenset(BINARY_RULES)
+
+# propagation rule -> operator method names, installed on UncertainVector
+# and UncertainScalar at the end of this module: (method,) for unary rules,
+# (method, reflected method) for binary ones
+_OPERATORS = {
+    "add": ("__add__", "__radd__"),
+    "sub": ("__sub__", "__rsub__"),
+    "mul": ("__mul__", "__rmul__"),
+    "div": ("__truediv__", "__rtruediv__"),
+    "pow": ("__pow__", "__rpow__"),
+    "neg": ("__neg__",),
+    "abs": ("__abs__",),
+}
 
 
 def _term(deriv, err):
@@ -158,7 +173,10 @@ def propagate_binary(fn: str, x, y) -> UncertainVector:
     return _result(values, errors)
 
 
-def propagate_general(jacobian, covariance, *, sym_rtol: float = 1e-12) -> np.ndarray:
+_SYM_RTOL = 1e-12  # relative tolerance of propagate_general's symmetry check
+
+
+def propagate_general(jacobian, covariance) -> np.ndarray:
     """General first-order propagation law: J S J^T.
 
     The result is symmetrized as (M + M^T)/2 to remove rounding asymmetry.
@@ -174,7 +192,7 @@ def propagate_general(jacobian, covariance, *, sym_rtol: float = 1e-12) -> np.nd
             f"jacobian {j.shape} does not conform with covariance {s.shape}"
         )
     scale = np.abs(s).max() if s.size else 0.0
-    if s.size and np.abs(s - s.T).max() > sym_rtol * max(scale, 1e-300):
+    if s.size and np.abs(s - s.T).max() > _SYM_RTOL * max(scale, 1e-300):
         raise NotSymmetric("covariance matrix is not symmetric")
     m = j @ s @ j.T
     return (m + m.T) / 2.0
@@ -215,3 +233,28 @@ def diff(x) -> UncertainVector:
     with np.errstate(all="ignore"):
         values, errors = np.diff(x.values), np.hypot(x.errors[:-1], x.errors[1:])
     return _result(values, errors)
+
+
+def _operator(fn: str, reflected: bool):
+    # plain numbers are exact (error 0); operands are always independent
+    if fn in UNARY_RULES:
+        return lambda self: propagate_unary(fn, self)
+    if reflected:
+        return lambda self, other: propagate_binary(fn, other, self)
+    return lambda self, other: propagate_binary(fn, self, other)
+
+
+def _scalar_operator(vector_method):
+    # a scalar is the length-1 vector; a length-1 result is a scalar again
+    def method(self, *other):
+        out = vector_method(self.as_vector(), *other)
+        return out[0] if len(out) == 1 else out
+
+    return method
+
+
+for _fn, _names in _OPERATORS.items():
+    for _name, _reflected in zip(_names, (False, True)):
+        _method = _operator(_fn, _reflected)
+        setattr(UncertainVector, _name, _method)
+        setattr(UncertainScalar, _name, _scalar_operator(_method))

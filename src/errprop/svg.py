@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -97,12 +98,6 @@ def scatter_svg(
         cx, cy = xaxis(x.values), yaxis(y.values)
         x0, x1, y0, y1 = xaxis(xmin), xaxis(xmax), yaxis(ymin), yaxis(ymax)
 
-    color_of = {}
-    if groups is not None:
-        for g in groups:
-            if g not in color_of:
-                color_of[g] = PALETTE[len(color_of) % len(PALETTE)]
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -114,6 +109,7 @@ def scatter_svg(
         f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 14 {HEIGHT // 2})">{_escape(y_label)}</text>',
     ]
+    color_of = dict(zip(dict.fromkeys(groups or ()), itertools.cycle(PALETTE)))
     colors = [color_of[g] for g in groups] if groups is not None else [PALETTE[0]] * n
     parts += [_ROW % row for row in zip(x0, cy, x1, cy, colors, cx, y0, cx, y1, colors,
                                          cx, cy, colors)]

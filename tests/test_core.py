@@ -14,10 +14,10 @@ from errprop import (
     make_uncertain,
     subset,
 )
-from errprop.core import _OPERATORS, UncertainScalar, UncertainVector
+from errprop.core import UncertainScalar, UncertainVector
 from errprop.exceptions import IndexOutOfBounds, LengthMismatch, NegativeError
 from errprop.expr import eval_uncertain, parse_expr
-from errprop.propagation import propagate_binary, propagate_unary
+from errprop.propagation import _OPERATORS, propagate_binary, propagate_unary
 
 
 def test_scalar_error_broadcast():

@@ -1,0 +1,71 @@
+"""The package's import graph, read from the source with ast.
+
+core is the leaf data model: the modules that own a behaviour install it
+on core's classes, so no module imports another inside a function and the
+top-level imports form no cycle.
+"""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import errprop
+
+PACKAGE = Path(errprop.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _package_modules(node) -> set[str]:
+    """The errprop modules an import statement imports ("__init__" for the
+    package itself); the empty set for any other statement."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names if a.name.split(".")[0] == "errprop"]
+        return {(n.split(".") + ["__init__"])[1] for n in names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level:
+        module = node.module
+    elif node.module and node.module.split(".")[0] == "errprop":
+        module = node.module.partition(".")[2]
+    else:
+        return set()
+    if module:
+        return {module.split(".")[0]}
+    # "from . import table": each name is a module of the package
+    return {a.name for a in node.names}
+
+
+def _imports(tree, *, in_functions: bool) -> set[str]:
+    """The errprop modules a module imports at its top level, or inside
+    its functions."""
+    found = set()
+
+    def visit(node, in_function):
+        if in_function == in_functions:
+            found.update(_package_modules(node))
+        inside = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_core_imports_only_exceptions():
+    imported = (_imports(MODULES["core"], in_functions=False)
+                | _imports(MODULES["core"], in_functions=True))
+    assert imported == {"exceptions"}
+
+
+def test_no_function_imports_a_package_module():
+    assert {name: _imports(tree, in_functions=True) for name, tree in MODULES.items()
+            if _imports(tree, in_functions=True)} == {}
+
+
+def test_top_level_imports_have_no_cycle():
+    graph = {name: _imports(tree, in_functions=False) for name, tree in MODULES.items()}
+    assert set().union(*graph.values()) <= set(graph)
+    # raises graphlib.CycleError, naming the cycle, if there is one
+    list(TopologicalSorter(graph).static_order())
