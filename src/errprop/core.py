@@ -74,8 +74,10 @@ class UncertainVector:
     def _unchecked(cls, values: np.ndarray, errors: np.ndarray) -> UncertainVector:
         # every caller passes 1-d float64 arrays that no one else writes to
         # (fresh results, or views of frozen arrays), so they are frozen in
-        # place, with no view
-        values.flags.writeable = errors.flags.writeable = False
+        # place, with no view (setflags' first parameter is write; given by
+        # position it costs a third as much as by keyword)
+        values.setflags(False)
+        errors.setflags(False)
         x = object.__new__(cls)
         object.__setattr__(x, "values", values)
         object.__setattr__(x, "errors", errors)
@@ -133,8 +135,8 @@ class UncertainScalar:
         return s
 
     def as_vector(self) -> UncertainVector:
-        return UncertainVector._unchecked(np.array([self.value], dtype=float),
-                                          np.array([self.error], dtype=float))
+        pair = np.array((self.value, self.error), float)
+        return UncertainVector._unchecked(pair[:1], pair[1:])
 
     def __format__(self, spec: str) -> str:
         if spec:
@@ -148,6 +150,8 @@ def as_uncertain(x) -> UncertainVector:
         return x
     if isinstance(x, UncertainScalar):
         return x.as_vector()
+    if isinstance(x, (float, int)):
+        return UncertainVector._unchecked(np.array((x,), float), np.zeros(1))
     values = _frozen(x)  # a view: the caller's own array stays writable
     return UncertainVector._unchecked(values, np.zeros_like(values))
 

@@ -331,7 +331,7 @@ def eval_uncertain(ast: ExprAst, env: dict) -> UncertainScalar | UncertainVector
 
 # Both evaluators make the same numpy calls: a number is a length-1 array,
 # and a length-1 operand is repeated to the other's length, as propagation's
-# _broadcast does.  numpy takes other paths for a 0-d or a broadcast operand
+# _operand does.  numpy takes other paths for a 0-d or a broadcast operand
 # (x*x for x^2, sqrt(x) for x^0.5, where pow gives inf for (-inf)^0.5), and
 # their last bits can differ, so a value would depend on the operands' length.
 

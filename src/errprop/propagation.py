@@ -41,46 +41,132 @@ def _d_abs(x):
     return np.sign(x)
 
 
+# Slopes of +-1.  Their term |+-1| * err is the error itself, so
+# propagation recognises them by identity (_UNIT_SLOPES) and calls none.
+
+def _minus_one(x):
+    return np.full_like(x, -1.0)
+
+
+def _one_x(x, y):
+    return np.ones_like(x)
+
+
+def _one_y(x, y):
+    return np.ones_like(y)
+
+
+def _minus_one_y(x, y):
+    return -np.ones_like(y)
+
+
+_UNIT_SLOPES = frozenset({_minus_one, _one_x, _one_y, _minus_one_y})
+
+
+# The derivatives that chain operations compute into the buffer of their
+# first step, with the operations of the textbook formula in its order;
+# a**2 is np.square(a) and (-a)/b is -(a/b), bit for bit.  The rules also
+# take numpy scalars (a Jacobian's entries), which have no buffer.
+
+def _buffer(t):
+    return t if isinstance(t, np.ndarray) else None
+
+
+def _d_sqrt(x):
+    t = np.sqrt(x)
+    return np.divide(0.5, t, out=_buffer(t))
+
+
+def _d_log(x, base):
+    t = np.multiply(x, np.log(base))
+    return np.divide(1.0, t, out=_buffer(t))
+
+
+def _d_cos(x):
+    t = np.sin(x)
+    return np.negative(t, out=_buffer(t))
+
+
+def _inverse_square(t):
+    out = _buffer(t)
+    t = np.square(t, out=out)
+    return np.divide(1.0, t, out=out)
+
+
+def _over_sqrt_one_minus_square(numerator, x):
+    t = np.multiply(x, x)
+    out = _buffer(t)
+    t = np.subtract(1.0, t, out=out)
+    t = np.sqrt(t, out=out)
+    return np.divide(numerator, t, out=out)
+
+
+def _d_atan(x):
+    t = np.multiply(x, x)
+    out = _buffer(t)
+    t = np.add(1.0, t, out=out)
+    return np.divide(1.0, t, out=out)
+
+
+def _d_div_y(x, y):
+    t = np.multiply(y, y)
+    out = _buffer(t)
+    t = np.divide(x, t, out=out)
+    return np.negative(t, out=out)
+
+
 def _d_pow_base(x, y):
-    return y * np.power(x, y - 1.0)
+    t = np.subtract(y, 1.0)
+    out = _buffer(t)
+    t = np.power(x, t, out=out)
+    return np.multiply(y, t, out=out)
 
 
 def _d_pow_exp(x, y):
-    return np.log(x) * np.power(x, y)
+    t = np.log(x)
+    t *= np.power(x, y)
+    return t
+
+
+def _over_sum_of_squares(numerator, y, x):
+    t = np.multiply(x, x)
+    t += np.multiply(y, y)
+    return np.divide(numerator, t, out=_buffer(t))
+
+
+def _d_atan2_x(y, x):
+    t = _over_sum_of_squares(y, y, x)
+    return np.negative(t, out=_buffer(t))
 
 
 # identifier -> (value function, derivative function)
 UNARY_RULES = {
-    "neg": (np.negative, lambda x: np.full_like(x, -1.0)),
+    "neg": (np.negative, _minus_one),
     "abs": (np.abs, _d_abs),
-    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x)),
+    "sqrt": (np.sqrt, _d_sqrt),
     "exp": (np.exp, np.exp),
     "ln": (np.log, lambda x: 1.0 / x),
-    "log2": (np.log2, lambda x: 1.0 / (x * np.log(2.0))),
-    "log10": (np.log10, lambda x: 1.0 / (x * np.log(10.0))),
+    "log2": (np.log2, lambda x: _d_log(x, 2.0)),
+    "log10": (np.log10, lambda x: _d_log(x, 10.0)),
     "sin": (np.sin, np.cos),
-    "cos": (np.cos, lambda x: -np.sin(x)),
-    "tan": (np.tan, lambda x: 1.0 / np.cos(x) ** 2),
-    "asin": (np.arcsin, lambda x: 1.0 / np.sqrt(1.0 - x * x)),
-    "acos": (np.arccos, lambda x: -1.0 / np.sqrt(1.0 - x * x)),
-    "atan": (np.arctan, lambda x: 1.0 / (1.0 + x * x)),
+    "cos": (np.cos, _d_cos),
+    "tan": (np.tan, lambda x: _inverse_square(np.cos(x))),
+    "asin": (np.arcsin, lambda x: _over_sqrt_one_minus_square(1.0, x)),
+    "acos": (np.arccos, lambda x: _over_sqrt_one_minus_square(-1.0, x)),
+    "atan": (np.arctan, _d_atan),
     "sinh": (np.sinh, np.cosh),
     "cosh": (np.cosh, np.sinh),
-    "tanh": (np.tanh, lambda x: 1.0 / np.cosh(x) ** 2),
+    "tanh": (np.tanh, lambda x: _inverse_square(np.cosh(x))),
 }
 
 # identifier -> (value function, d/dx, d/dy).  atan2 takes (y, x) order.
 BINARY_RULES = {
-    "add": (np.add, lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(y)),
-    "sub": (np.subtract, lambda x, y: np.ones_like(x), lambda x, y: -np.ones_like(y)),
+    "add": (np.add, _one_x, _one_y),
+    "sub": (np.subtract, _one_x, _minus_one_y),
     "mul": (np.multiply, lambda x, y: y, lambda x, y: x),
-    "div": (np.divide, lambda x, y: 1.0 / y, lambda x, y: -x / (y * y)),
+    "div": (np.divide, lambda x, y: 1.0 / y, _d_div_y),
     "pow": (np.power, _d_pow_base, _d_pow_exp),
-    "atan2": (
-        np.arctan2,
-        lambda y, x: x / (x * x + y * y),
-        lambda y, x: -y / (x * x + y * y),
-    ),
+    "atan2": (np.arctan2, lambda y, x: _over_sum_of_squares(x, y, x), _d_atan2_x),
 }
 
 UNARY_FUNCTIONS = frozenset(UNARY_RULES)
@@ -100,13 +186,43 @@ _OPERATORS = {
 }
 
 
-def _term(deriv, err):
-    # a zero uncertainty contributes nothing, even where the derivative
-    # is singular (e.g. an exact exponent on a negative base)
-    t = np.abs(deriv)
+def _term(deriv, err, nonzero) -> np.ndarray:
+    """|deriv| * err, the term of an operand whose errors `err` hold
+    `nonzero` nonzero entries, as a fresh array.
+
+    A zero uncertainty contributes +0, even where the derivative is
+    singular (e.g. an exact exponent on a negative base); count_nonzero
+    counts -0.0 as zero and NaN as nonzero, as `err == 0.0` does.
+    """
+    # a rule's fresh array is written in place; an operand, which is
+    # read-only (mul's derivative is the other operand), is copied
+    t = np.abs(deriv, out=deriv if deriv.flags.writeable else None)
     t *= err
-    t[err == 0.0] = 0.0
+    if nonzero < len(err):
+        t[err == 0.0] = 0.0
     return t
+
+
+def _rule_term(d, args, err, nonzero) -> np.ndarray:
+    # a slope of +-1 builds no derivative: its term is the error itself,
+    # read-only like every operand's array, and may hold -0.0
+    return err if d in _UNIT_SLOPES else _term(d(*args), err, nonzero)
+
+
+def _quadrature(terms, n) -> np.ndarray:
+    """A result's errors: the terms of its uncertain operands in quadrature.
+
+    A writable term is the kernel's own array, and the errors are written
+    into it.  A read-only term is an operand's errors (a unit slope's),
+    which may hold -0.0: a lone one is copied by abs, and two need none,
+    since hypot(a, b) is hypot(|a|, |b|), bit for bit.
+    """
+    if not terms:
+        return np.zeros(n)
+    if len(terms) == 1:
+        t, = terms
+        return t if t.flags.writeable else np.abs(t)
+    return np.hypot(*terms, out=terms[0] if terms[0].flags.writeable else None)
 
 
 def _result(values, errors) -> UncertainVector:
@@ -120,6 +236,10 @@ def _result(values, errors) -> UncertainVector:
     return UncertainVector._unchecked(values, errors)
 
 
+# The kernels take np.errstate as a decorator, which makes no errstate
+# object per call: about 1 us of a length-1 call.
+
+@np.errstate(all="ignore")
 def propagate_unary(fn: str, x) -> UncertainVector:
     """Apply a unary function elementwise: error = |f'(x)| * dx.
 
@@ -131,24 +251,34 @@ def propagate_unary(fn: str, x) -> UncertainVector:
     except KeyError:
         raise UnknownFunction(f"unknown unary function {fn!r}") from None
     x = as_uncertain(x)
-    with np.errstate(all="ignore"):
-        values = f(x.values)
-        errors = _term(fp(x.values), x.errors)
-    return _result(values, errors)
+    nonzero = np.count_nonzero(x.errors)
+    values = f(x.values)
+    # an exact operand's derivative is not evaluated
+    terms = [_rule_term(fp, (x.values,), x.errors, nonzero)] if nonzero else []
+    return _result(values, _quadrature(terms, len(values)))
 
 
-def _broadcast(x: UncertainVector, y: UncertainVector):
-    if len(x) == len(y):
-        return x, y
-    if len(x) == 1:
-        rep = lambda a: np.repeat(a, len(y))
-        return UncertainVector._unchecked(rep(x.values), rep(x.errors)), y
-    if len(y) == 1:
-        rep = lambda a: np.repeat(a, len(x))
-        return x, UncertainVector._unchecked(rep(y.values), rep(y.errors))
-    raise LengthMismatch(f"operand lengths {len(x)} and {len(y)}")
+def _operand(x: UncertainVector, n: int):
+    """x's values and errors at length n, and its count of nonzero errors.
+
+    A length-1 operand is repeated, since numpy takes other paths for a
+    stride-0 operand (see the comment above `expr._numeric_leaf`); an
+    exact one's errors enter no term, so only its values are repeated.
+    Repeats are read-only, like every operand's arrays.
+    """
+    nonzero = np.count_nonzero(x.errors)
+    if len(x.values) == n:
+        return x.values, x.errors, nonzero
+    values = np.repeat(x.values, n)
+    values.setflags(False)
+    if not nonzero:
+        return values, x.errors, 0
+    errors = np.repeat(x.errors, n)
+    errors.setflags(False)
+    return values, errors, n
 
 
+@np.errstate(all="ignore")
 def propagate_binary(fn: str, x, y) -> UncertainVector:
     """Combine two independent operands; errors add in quadrature.
 
@@ -159,18 +289,17 @@ def propagate_binary(fn: str, x, y) -> UncertainVector:
         f, dfdx, dfdy = BINARY_RULES[fn]
     except KeyError:
         raise UnknownFunction(f"unknown binary function {fn!r}") from None
-    x, y = _broadcast(as_uncertain(x), as_uncertain(y))
-    with np.errstate(all="ignore"):
-        values = f(x.values, y.values)
-        # an exact operand (every error 0; NaN is not 0) adds no term, and its
-        # derivative is not evaluated: hypot(t, 0) is |t|, bit for bit
-        terms = [_term(d(x.values, y.values), o.errors)
-                 for d, o in ((dfdx, x), (dfdy, y)) if o.errors.any()]
-        if len(terms) == 2:
-            errors = np.hypot(*terms)
-        else:
-            errors = terms[0] if terms else np.zeros(len(values))
-    return _result(values, errors)
+    x, y = as_uncertain(x), as_uncertain(y)
+    lx, ly = len(x.values), len(y.values)
+    n = ly if lx == 1 else lx
+    if ly not in (1, n):
+        raise LengthMismatch(f"operand lengths {lx} and {ly}")
+    (xv, xe, nx), (yv, ye, ny) = _operand(x, n), _operand(y, n)
+    values = f(xv, yv)
+    # an exact operand adds no term, and its derivative is not evaluated
+    terms = [_rule_term(d, (xv, yv), e, nonzero)
+             for d, e, nonzero in ((dfdx, xe, nx), (dfdy, ye, ny)) if nonzero]
+    return _result(values, _quadrature(terms, n))
 
 
 _SYM_RTOL = 1e-12  # relative tolerance of propagate_general's symmetry check
@@ -202,7 +331,9 @@ def cumulative_sum(x) -> UncertainVector:
     """Running sums; errors accumulate in quadrature."""
     x = as_uncertain(x)
     with np.errstate(all="ignore"):
-        values, errors = np.cumsum(x.values), np.sqrt(np.cumsum(x.errors**2))
+        values, errors = np.cumsum(x.values), np.square(x.errors)
+        np.cumsum(errors, out=errors)
+        np.sqrt(errors, out=errors)
     return _result(values, errors)
 
 
@@ -216,7 +347,8 @@ def cumulative_prod(x) -> UncertainVector:
     x = as_uncertain(x)
     with np.errstate(all="ignore"):
         values = np.multiply.accumulate(x.values)
-        second = _term(np.concatenate(([1.0], values))[:-1], x.errors)
+        second = _term(np.concatenate(([1.0], values))[:-1], x.errors,
+                       np.count_nonzero(x.errors))
         errors, pe = [], 0.0
         for v, t in zip(x.values.tolist(), second.tolist()):
             # np.hypot, not math.hypot: their last bits differ
@@ -248,7 +380,10 @@ def _scalar_operator(vector_method):
     # a scalar is the length-1 vector; a length-1 result is a scalar again
     def method(self, *other):
         out = vector_method(self.as_vector(), *other)
-        return out[0] if len(out) == 1 else out
+        if len(out.values) != 1:
+            return out
+        (value,), (error,) = out.values.tolist(), out.errors.tolist()
+        return UncertainScalar._unchecked(value, error)
 
     return method
 

@@ -61,10 +61,11 @@ def mean(x) -> UncertainScalar:
     """Arithmetic mean with error = max(SEM, mean of individual errors).
 
     SEM uses the n-1 sample standard deviation.  For a single element the
-    SEM is undefined and the element's own error is returned.
+    SEM is undefined and the element's own error is returned.  This is
+    `weighted_mean` with unit weights, bit for bit, without the weights.
     """
     x = _nonempty(as_uncertain(x), "mean")
-    return weighted_mean(x, np.ones(len(x)))
+    return _mean_rule(x.values, x.errors, None, float(len(x)))
 
 
 @np.errstate(all="ignore")
@@ -73,26 +74,37 @@ def weighted_mean(x, weights) -> UncertainScalar:
 
     weighted SEM = sqrt(sum w_i (v_i - vbar)^2 * n / (sum w_i * (n-1))) / sqrt(n);
     the n/(n-1) factor makes uniform weights reduce exactly to the
-    sample-sd SEM of `mean`.
+    sample-sd SEM of `mean`.  Every weight must be finite and nonnegative.
     """
     x = _nonempty(as_uncertain(x), "weighted mean")
     w = np.asarray(weights, dtype=float)
     if len(w) != len(x):
         raise LengthMismatch(f"{len(x)} values but {len(w)} weights")
-    if (w < 0).any():
-        raise NegativeError("weights must be nonnegative")
+    bad = ~((0 <= w) & (w < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NegativeError(f"weight {w[i]} at index {i}: "
+                            "weights must be finite and nonnegative")
     wsum = float(np.sum(w))
     if wsum <= 0:
         raise ZeroWeightSum("weights sum to zero")
-    n = len(x)
-    value = float(np.sum(w * x.values) / wsum)
-    werr = float(np.sum(w * x.errors) / wsum)
+    return _mean_rule(x.values, x.errors, w, wsum)
+
+
+@np.errstate(all="ignore")
+def _mean_rule(v, e, w, wsum: float) -> UncertainScalar:
+    # w is None for unit weights (wsum = n): 1.0*a is a and the sum of n
+    # ones is n, exactly, so no product with the weights is formed
+    n = len(v)
+    value = float(np.sum(v if w is None else w * v) / wsum)
+    werr = float(np.sum(e if w is None else w * e) / wsum)
     if n == 1:
         return _summary(value, werr)
-    wsem = float(
-        math.sqrt(np.sum(w * (x.values - value) ** 2) * n / (wsum * (n - 1)))
-        / math.sqrt(n)
-    )
+    spread = np.subtract(v, value)
+    np.square(spread, out=spread)
+    if w is not None:
+        spread *= w
+    wsem = float(math.sqrt(np.sum(spread) * n / (wsum * (n - 1))) / math.sqrt(n))
     return _summary(value, max(wsem, werr))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,17 @@ from errprop import (
     diff,
     get_errors,
     make_uncertain,
+    maximum,
+    mean,
+    median,
+    minimum,
+    product,
     propagate_binary,
     propagate_general,
     propagate_unary,
+    total,
+    value_range,
+    weighted_mean,
 )
 from errprop.core import UncertainVector
 from errprop.exceptions import (
@@ -405,3 +414,70 @@ def test_exact_operand_derivative_not_evaluated(monkeypatch):
     monkeypatch.setitem(BINARY_RULES, "pow", (f, dfdx, never))
     for y in (2.0, make_uncertain([2.0], [0.0]), make_uncertain([2.0] * 3, 0.0)):
         assert propagate_binary("pow", x, y) == want
+
+
+@st.composite
+def _kept_operands(draw, n):
+    """A vector of length n or 1, exact or not, or a caller's writable
+    float64 array of length n or 1 (exact, through as_uncertain)."""
+    m = draw(st.sampled_from([1, n]))
+    values = np.array(draw(st.lists(_VALUES, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        return values
+    errors = draw(st.sampled_from([[0.0] * m, draw(st.lists(_ERRORS, min_size=m, max_size=m))]))
+    return UncertainVector._unchecked(values, np.array(errors))
+
+
+def _state(x):
+    """The bytes and writability of every array an operand holds."""
+    arrays = (x,) if isinstance(x, np.ndarray) else (x.values, x.errors)
+    return [(a.tobytes(), a.flags.writeable) for a in arrays]
+
+
+_SUMMARIES = (cumulative_sum, cumulative_prod, diff, total, product, mean, median,
+              minimum, maximum, value_range, lambda x: weighted_mean(x, np.ones(len(x))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 5))
+def test_operands_are_never_written(data, n):
+    # a vector's arrays are read-only, a caller's array stays writable, and
+    # no rule writes either: not mul, whose derivative is the other operand,
+    # nor a length-1 operand repeated in either position
+    x, y = data.draw(_kept_operands(n)), data.draw(_kept_operands(n))
+    before = _state(x), _state(y)
+    for fn in UNARY_RULES:
+        propagate_unary(fn, x)
+    for fn in BINARY_RULES:
+        propagate_binary(fn, x, y)
+        propagate_binary(fn, y, x)
+    if len(x) > 1:
+        for fn in _SUMMARIES:
+            fn(x)
+    assert (_state(x), _state(y)) == before
+    for operand, state in zip((x, y), before):
+        assert all(writable == isinstance(operand, np.ndarray) for _, writable in state)
+
+
+def _peak(call):
+    call()  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_allocate_their_outputs_and_little_else():
+    # A result holds two arrays of 8n bytes.  sin builds one more, its
+    # derivative, which becomes the errors in place; the NaN test of the
+    # values is n bytes more: 17n in all.  mul copies each operand as its
+    # term and writes the hypot into the first: 8n * 3 + n = 25n.  Kernels
+    # that take each term's abs, and the hypot, into fresh arrays peak at
+    # 25n and 33n (measured), so both bounds fail for them.
+    n = 100_000
+    x = make_uncertain(np.linspace(1.0, 2.0, n), 0.1)
+    y = make_uncertain(np.linspace(2.0, 3.0, n), 0.2)
+    assert _peak(lambda: propagate_unary("sin", x)) <= 2.5 * 8 * n
+    assert _peak(lambda: propagate_binary("mul", x, y)) <= 3.5 * 8 * n

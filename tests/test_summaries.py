@@ -17,7 +17,7 @@ from errprop import (
     weighted_mean,
 )
 from errprop.core import UncertainVector
-from errprop.exceptions import EmptyInput, LengthMismatch, ZeroWeightSum
+from errprop.exceptions import EmptyInput, LengthMismatch, NegativeError, ZeroWeightSum
 from errprop.summaries import MEDIAN_FACTOR
 
 
@@ -111,6 +111,32 @@ def test_weighted_mean_errors():
         weighted_mean(x, [1.0])
     with pytest.raises(ZeroWeightSum):
         weighted_mean(x, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("weights, index", [
+    ([1.0, math.nan, 1.0], 1),
+    ([1.0, math.inf, 1.0], 1),
+    ([math.inf] * 3, 0),
+    ([1.0, 1.0, -1.0], 2),
+])
+def test_weighted_mean_rejects_bad_weight(weights, index):
+    x = make_uncertain([1.0, 2.0, 3.0], 0.1)
+    with pytest.raises(NegativeError, match=f"at index {index}: weights must be finite"):
+        weighted_mean(x, weights)
+
+
+_MEAN_VALUES = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_MEAN_VALUES, st.floats(0, 1e300) | st.sampled_from([0.0, -0.0])),
+                min_size=1, max_size=12))
+@example([(-0.0, -0.0)])
+@example([(math.nan, 0.1), (1.0, 0.2)])
+@example([(math.inf, 0.1), (-math.inf, 0.1)])
+def test_mean_is_weighted_mean_with_unit_weights(pairs):
+    x = UncertainVector._unchecked(*(np.array(a) for a in zip(*pairs)))
+    assert _bits(mean(x)) == _bits(weighted_mean(x, np.ones(len(x))))
 
 
 def test_median_paper_rule():
