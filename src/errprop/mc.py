@@ -2,16 +2,22 @@
 
 Inputs are modeled as independent normals N(value, error^2), each drawn
 from its own stream, spawned from numpy's default PCG64 generator, pushed
-through the expression a chunk at a time and summarized.  Given the same
-(expr, env, config), the result is bitwise reproducible, whatever CHUNK
-is.  Used to cross-check the first-order Taylor approximation, which
-degrades when the relative errors are large and the expression is
-strongly nonlinear.
+through the expression a chunk of 2**15 draws at a time and summarized.
+A drawer thread draws one chunk ahead while the calling thread evaluates
+the current one; each stream is drawn by one thread, so given the same
+(expr, env, config) the result is bitwise that of drawing everything at
+once, whatever CHUNK is.  Memory holds the finite outputs and a fixed
+amount for two chunks.  A run that fails on its non-finite outputs may
+have drawn one chunk that it never evaluates.  Used to cross-check the
+first-order Taylor approximation, which degrades when the relative
+errors are large and the expression is strongly nonlinear.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +33,13 @@ MAD_SCALE = 1.4826
 # above this fraction of non-finite evaluations the run is rejected
 NONFINITE_LIMIT = 0.01
 
-# draws per variable sampled and evaluated at once: the peak memory holds
-# the finite outputs and np.std's temporary of them, not every draw
-CHUNK = 2**16
+# draws per variable sampled and evaluated at once.  A drawer thread draws
+# one chunk ahead of the evaluation, and each stream is drawn by one thread,
+# so the results are bitwise those of drawing everything at once.  The
+# peak memory holds the finite outputs and np.std's temporary of them, and
+# a fixed amount for two chunks, not every draw.  A run that fails on its
+# non-finite outputs may have drawn one chunk that it never evaluates
+CHUNK = 2**15
 
 # order statistics need every output, so a run holds about 2 * 8 bytes per
 # draw at its peak: 1.6 GB at this many
@@ -88,29 +98,91 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
     # are the same whether taken at once or a chunk at a time, and whether
     # or not another variable is exact
     streams = np.random.default_rng(cfg.seed).spawn(len(names))
+    # an exact variable is bound to its value, not drawn: value + 0 * z
+    # costs m normals and turns -0.0 into 0.0
+    exact = {name: s.value for name, s in zip(names, inputs) if not s.error}
+    drawn = [(name, rng, s.value, s.error)
+             for name, s, rng in zip(names, inputs, streams) if s.error]
+    # the drawer takes every uncertain variable but the last, or the only
+    # one; the calling thread draws the last just before it evaluates, so
+    # that the two threads' shares of a chunk are about even
+    split = max(1, len(drawn) - 1)
+    starts = range(0, cfg.samples, CHUNK)
+    sizes = [min(CHUNK, cfg.samples - start) for start in starts]
+    own = {name: np.empty(sizes[0]) for name, *_ in drawn[split:]}
     out = np.empty(cfg.samples)
     kept = 0  # the finite outputs, in draw order, fill out[:kept]
-    for start in range(0, cfg.samples, CHUNK):
-        m = min(CHUNK, cfg.samples - start)
-        # an exact variable is bound to its value, not drawn: value + 0 * z
-        # costs m normals and turns -0.0 into 0.0
-        draws = {name: rng.normal(s.value, s.error, m) if s.error else s.value
-                 for name, s, rng in zip(names, inputs, streams)}
-        chunk = np.broadcast_to(eval_numeric(expr, draws), m)  # a constant broadcasts
-        finite = np.isfinite(chunk)
-        k = int(np.count_nonzero(finite))
-        out[kept:kept + k] = chunk if k == m else chunk[finite]
-        kept += k
-        n_bad = start + m - kept
-        if n_bad > NONFINITE_LIMIT * cfg.samples:
-            raise NonFiniteSamples(f"{n_bad} non-finite evaluations in the first "
-                                   f"{start + m} of {cfg.samples}")
+    with closing(_drawn_ahead(drawn[:split], sizes)) as chunks:
+        for start, m, draws in zip(starts, sizes, chunks):
+            for name, rng, value, error in drawn[split:]:
+                draws[name] = _fill(rng, value, error, own[name][:m])
+            chunk = np.broadcast_to(eval_numeric(expr, exact | draws), m)  # a constant broadcasts
+            finite = np.isfinite(chunk)
+            k = int(np.count_nonzero(finite))
+            out[kept:kept + k] = chunk if k == m else chunk[finite]
+            kept += k
+            n_bad = start + m - kept
+            if n_bad > NONFINITE_LIMIT * cfg.samples:
+                raise NonFiniteSamples(f"{n_bad} non-finite evaluations in the first "
+                                       f"{start + m} of {cfg.samples}")
     out = out[:kept]
     with np.errstate(over="ignore", invalid="ignore"):
         mean, sd = _rescaled(lambda o: [_mean(o), float(np.std(o, ddof=1))], out)
         med, mad, *quantiles = _rescaled(lambda o: _order_stats(o, cfg.quantiles), out)
     return McResult(mean=mean, sd=sd, median=med, mad=mad,
                     quantile_values=tuple(quantiles), n_nonfinite=n_bad)
+
+
+def _drawn_ahead(drawn: list, sizes: list[int]):
+    """For each chunk length m in sizes, yield a dict of the next m draws of
+    each (name, rng, value, error) in drawn, drawn by a thread one chunk
+    ahead: it fills the next chunk's buffers while the caller evaluates
+    this one's.  The two sets of buffers, taken in turn, are allocated
+    here, on the calling thread; a yielded chunk's are refilled once the
+    caller asks for the next.  Closing the generator stops and joins the
+    thread, which by then may have drawn one chunk more than was yielded.
+    """
+    slots = [{name: np.empty(sizes[0]) for name, *_ in drawn} for _ in range(2)]
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    stop, failure = False, []
+
+    def draw():
+        try:
+            for k, m in enumerate(sizes):
+                free.acquire()
+                if stop:
+                    return
+                for name, rng, value, error in drawn:
+                    _fill(rng, value, error, slots[k % 2][name][:m])
+                ready.release()
+        except BaseException as exc:  # handed to the caller, which would wait forever
+            failure.append(exc)
+            ready.release()
+
+    thread = threading.Thread(target=draw, name="errprop-mc-drawer", daemon=True)
+    thread.start()
+    try:
+        for k, m in enumerate(sizes):
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            yield {name: buf[:m] for name, buf in slots[k % 2].items()}
+            free.release()
+    finally:
+        stop = True
+        free.release()  # wakes a drawer waiting for a free set
+        thread.join()
+
+
+def _fill(rng, value: float, error: float, buf: np.ndarray) -> np.ndarray:
+    """rng.normal(value, error, buf.size), bit for bit, drawn into buf:
+    numpy's normal is value + error * z for a standard normal z."""
+    rng.standard_normal(out=buf)
+    # numpy's error state is per thread, and rng.normal warns of nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        buf *= error
+        buf += value
+    return buf
 
 
 def _rescaled(stats_of, out: np.ndarray) -> list[float]:

@@ -74,7 +74,9 @@ def weighted_mean(x, weights) -> UncertainScalar:
 
     weighted SEM = sqrt(sum w_i (v_i - vbar)^2 * n / (sum w_i * (n-1))) / sqrt(n);
     the n/(n-1) factor makes uniform weights reduce exactly to the
-    sample-sd SEM of `mean`.  Every weight must be finite and nonnegative.
+    sample-sd SEM of `mean`.  Every weight must be finite and nonnegative;
+    weights so large that a sum of them overflows count as the same
+    weights scaled down by a power of two.
     """
     x = _nonempty(as_uncertain(x), "weighted mean")
     w = np.asarray(weights, dtype=float)
@@ -96,8 +98,18 @@ def _mean_rule(v, e, w, wsum: float) -> UncertainScalar:
     # w is None for unit weights (wsum = n): 1.0*a is a and the sum of n
     # ones is n, exactly, so no product with the weights is formed
     n = len(v)
-    value = float(np.sum(v if w is None else w * v) / wsum)
-    werr = float(np.sum(e if w is None else w * e) / wsum)
+    vsum = np.sum(v if w is None else w * v)
+    esum = np.sum(e if w is None else w * e)
+    if w is not None and not all(map(math.isfinite, (wsum, vsum, esum))):
+        k = math.frexp(w.max())[1] - 1
+        if k > 0:
+            # a sum overflowed: the weights scaled by a power of two, the
+            # largest into [1, 2), weigh alike, and their sums overflow
+            # only where weights of that size would
+            w = w * 2.0**-k
+            return _mean_rule(v, e, w, float(np.sum(w)))
+    value = float(vsum / wsum)
+    werr = float(esum / wsum)
     if n == 1:
         return _summary(value, werr)
     spread = np.subtract(v, value)

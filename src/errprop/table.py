@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import UncertainScalar, UncertainVector, as_uncertain, make_uncertain, subset
-from .exceptions import ErrpropError
+from .exceptions import ErrpropError, ParseError, UnboundVariable
 from .expr import parse_expr, eval_uncertain
 # parse_value stays a name here, where perfbench/spans.py traces it,
 # though read_csv reads every column through parse_column
-from .formatting import Notation, _bare_column, format_column, parse_column, parse_value
+from .formatting import (Notation, _bare_column, format_column, parse_column, parse_number,
+                         parse_value)
 from . import summaries
 
 __all__ = ["Table", "read_csv", "attach_errors", "derive_column", "summarize"]
@@ -107,6 +108,21 @@ def _classify(cells: list[str]):
     return cells if column is None else column
 
 
+def _first_bad_cell(table: Table, name: str, parse) -> str:
+    """Where a text column fails parse: "; row i, column 'name': " and the
+    ParseError of its first failing cell, row 1 being the first under the
+    header; "" for any other column.  Read a cell at a time, for an error
+    message only."""
+    col = table.columns.get(name)
+    if isinstance(col, list):
+        for i, cell in enumerate(col, 1):
+            try:
+                parse(cell)
+            except ParseError as exc:
+                return f"; row {i}, column {name!r}: {exc}"
+    return ""
+
+
 def attach_errors(table: Table, column: str, *, absolute=None, relative=None,
                   error_column: str | None = None) -> None:
     """Turn a plain numeric column into an uncertain one, in place."""
@@ -114,7 +130,8 @@ def attach_errors(table: Table, column: str, *, absolute=None, relative=None,
         raise ErrpropError(f"no such column: {column!r}")
     col = table.columns[column]
     if not isinstance(col, np.ndarray):
-        raise ErrpropError(f"column {column!r} is not plain numeric")
+        raise ErrpropError(f"column {column!r} is not plain numeric"
+                           + _first_bad_cell(table, column, parse_number))
     if absolute is not None:
         errs = np.full(len(col), float(absolute))
     elif relative is not None:
@@ -122,7 +139,8 @@ def attach_errors(table: Table, column: str, *, absolute=None, relative=None,
     elif error_column is not None:
         ecol = table.columns.get(error_column)
         if not isinstance(ecol, np.ndarray):
-            raise ErrpropError(f"error column {error_column!r} is not plain numeric")
+            raise ErrpropError(f"error column {error_column!r} is not plain numeric"
+                               + _first_bad_cell(table, error_column, parse_number))
         errs = ecol
     else:
         raise ErrpropError("one of absolute/relative/error_column is required")
@@ -139,7 +157,13 @@ def derive_column(table: Table, name: str, expression: str) -> None:
     ast = parse_expr(expression)
     env = {n: as_uncertain(c) for n, c in table.columns.items()
            if isinstance(c, (UncertainVector, np.ndarray))}
-    out = as_uncertain(eval_uncertain(ast, env))
+    try:
+        out = as_uncertain(eval_uncertain(ast, env))
+    except UnboundVariable as exc:  # a text column, maybe for one bad cell
+        where = _first_bad_cell(table, exc.name, parse_value)
+        if not where:
+            raise
+        raise ErrpropError(f"{exc}{where}") from None
     if len(out) != table.nrows:  # a constant-only expression
         out = subset(out, np.zeros(table.nrows, dtype=int))
     table.add(name, out)
@@ -165,5 +189,6 @@ def summarize(table: Table, spec: str) -> UncertainScalar:
     if isinstance(col, np.ndarray):
         col = make_uncertain(col, 0.0)
     if not isinstance(col, UncertainVector):
-        raise ErrpropError(f"column {m.group('col')!r} is not numeric")
+        raise ErrpropError(f"column {m.group('col')!r} is not numeric"
+                           + _first_bad_cell(table, m.group("col"), parse_value))
     return _SUMMARY_FUNCS[m.group("fn")](col)

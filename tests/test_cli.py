@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,26 @@ def test_table_derive_from_text_column_is_exit_2(tmp_path, capsys):
     assert "unbound variable: g" in err
 
 
+@pytest.mark.parametrize("csv_text, argv, message", [
+    # an unclosed parenthesis turns the column into text
+    ("x,y\n1.0,2\n2.0(1,3\n", ["--derive", "r=x*2"],
+     "unbound variable: x; row 2, column 'x': unrecognized measurement syntax '2.0(1' (position 0)"),
+    ("x,y\n1.0,2\n2.0,3x\n", ["--abs-error", "y=0.1"],
+     "column 'y' is not plain numeric; row 2, column 'y': not a number: '3x' (position 1)"),
+    ("x,e\n1.0,0.1\n2.0,0.1x\n", ["--error-col", "x=e"],
+     "error column 'e' is not plain numeric; row 2, column 'e': not a number: '0.1x' "
+     "(position 3)"),
+    ("x\n1\n2 +- 1\n", ["--summarize", "sum(x)"],
+     "column 'x' is not numeric; row 2, column 'x': unrecognized measurement syntax '2 +- 1' "
+     "(position 0)"),
+])
+def test_table_bad_cell_is_named(tmp_path, capsys, csv_text, argv, message):
+    src = tmp_path / "t.csv"
+    src.write_text(csv_text)
+    code, _, err = run(capsys, "table", str(src), *argv)
+    assert (code, err) == (2, f"errprop: {message}\n")
+
+
 def test_table_ragged_row_is_exit_2(tmp_path, capsys):
     src = tmp_path / "t.csv"
     src.write_text("a,b\n1,2,3\n")
@@ -356,6 +377,17 @@ def test_mc_draws_near_the_float_limit(capsys):
     assert doc["mcm_mean"] == pytest.approx(1.7e308, rel=1e-7)
     assert doc["mcm_sd"] == pytest.approx(1e300, rel=0.1)
     assert doc["relative_gap"] < 0.1
+
+
+def test_mc_draws_past_the_float_limit_is_exit_2(capsys):
+    # x + 1e307 * z overflows on 153 of these draws; the drawer thread
+    # that draws them leaks no overflow warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "mc", "x", "x=1.7e308 ± 1e307", "--samples", "1000")
+    assert (code, out) == (2, "")
+    assert err == "errprop: 153 non-finite evaluations in the first 1000 of 1000\n"
+    assert caught == []
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", str(MAX_SAMPLES + 1)),

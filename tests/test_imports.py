@@ -6,6 +6,9 @@ top-level imports form no cycle.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -69,3 +72,12 @@ def test_top_level_imports_have_no_cycle():
     assert set().union(*graph.values()) <= set(graph)
     # raises graphlib.CycleError, naming the cycle, if there is one
     list(TopologicalSorter(graph).static_order())
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    # it imports logging, which costs every CLI start about 12 ms
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, errprop.cli; print(sorted(m for m in sys.modules if 'concurrent' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from errprop import McConfig, compare_tsm_mcm, eval_numeric, mc, mc_propagate, p
 from errprop.core import UncertainScalar
 from errprop.exceptions import NonFiniteSamples, UnboundVariable
 from errprop.expr import free_variables
-from errprop.mc import MAD_SCALE, MAX_SAMPLES, _mean, _order_stats
+from errprop.mc import CHUNK, MAD_SCALE, MAX_SAMPLES, _fill, _mean, _order_stats
 
 
 def xy_env():
@@ -285,6 +287,83 @@ def test_mc_propagate_does_not_depend_on_chunk(monkeypatch, expr, env, n, chunk)
     assert outputs[0].tobytes() == want_outputs.tobytes()
     assert got == want
     assert (got[0] > 0) == ("ln" in expr)
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1.0, 1e307, 1.7e308, -1.7e308,
+             math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(_EXTREMES) | st.floats(allow_nan=False),
+              st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1e307, 1.7e308])
+              | st.floats(0, allow_nan=False, allow_infinity=False)),
+    st.just((math.nan, math.nan)),  # NaN carries a NaN error
+), st.integers(1, CHUNK + 1), st.integers(0, 2**32 - 1))
+@example((1.7e308, 1e307), 1000, 5)  # draws past the float limit
+@example((5e-324, 5e-324), CHUNK + 1, 0)  # subnormal draws
+@example((math.nan, math.nan), 1, 0)
+@example((-math.inf, 1.7e308), CHUNK, 3)  # -inf + inf draws
+def test_fill_is_numpys_normal_bit_for_bit(pair, m, seed):
+    # an overflow warning, which pyproject makes an error, would fail it
+    value, error = pair
+    buf = np.empty(m)
+    assert _fill(np.random.default_rng(seed), value, error, buf) is buf
+    assert buf.tobytes() == np.random.default_rng(seed).normal(value, error, m).tobytes()
+
+
+def _ln_env():
+    return {"x": UncertainScalar(2, 0.7), "y": UncertainScalar(1, 0.1), "z": UncertainScalar(3, 1)}
+
+
+@pytest.mark.parametrize("expr, env", [
+    ("x", {"x": UncertainScalar(0, 1)}),  # the drawer draws the only variable
+    ("ln(x) + y*z", _ln_env()),  # the drawer draws x and y, the caller z
+    ("2", {}),  # nothing is drawn
+    ("sqrt(x) + y*z", {**_ln_env(), "x": UncertainScalar(0, 1)}),  # NonFiniteSamples
+])
+def test_mc_propagate_leaves_no_thread(monkeypatch, expr, env):
+    monkeypatch.setattr(mc, "CHUNK", 1000)
+    before = threading.active_count()
+    run = lambda: mc_propagate(parse_expr(expr), env, McConfig(samples=10_000, seed=4))
+    if expr.startswith("sqrt"):
+        pytest.raises(NonFiniteSamples, run)
+    else:
+        run()
+    assert threading.active_count() == before
+
+
+def test_failing_run_draws_at_most_one_chunk_it_does_not_evaluate(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK", 100)
+    fills, evaluations, fill = [], [], mc._fill
+    monkeypatch.setattr(mc, "_fill", lambda *args: fills.append(1) or fill(*args))
+
+    def evaluate(ast, env):  # slow, so that the drawer runs as far ahead as it may
+        evaluations.append(1)
+        time.sleep(0.005)
+        return eval_numeric(ast, env)
+
+    monkeypatch.setattr(mc, "eval_numeric", evaluate)
+    with pytest.raises(NonFiniteSamples):
+        mc_propagate(parse_expr("sqrt(x)"), {"x": UncertainScalar(0, 1)},
+                     McConfig(samples=10_000, seed=5))
+    assert len(evaluations) <= len(fills) <= len(evaluations) + 1 < 100
+
+
+def test_drawer_failure_reaches_the_caller(monkeypatch):
+    # with one uncertain variable the drawer draws it: its error is raised
+    # by mc_propagate, which waits for no chunk that will not come
+    class DrawFailed(Exception):
+        pass
+
+    def fail(*args):
+        raise DrawFailed
+
+    before = threading.active_count()
+    monkeypatch.setattr(mc, "_fill", fail)
+    with pytest.raises(DrawFailed):
+        mc_propagate(parse_expr("x"), {"x": UncertainScalar(0, 1)}, McConfig(samples=100, seed=1))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("value, error", [(1.7e308, 1e300), (-1.7e308, 1e300), (0.0, 1e307)])

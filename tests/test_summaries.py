@@ -139,6 +139,23 @@ def test_mean_is_weighted_mean_with_unit_weights(pairs):
     assert _bits(mean(x)) == _bits(weighted_mean(x, np.ones(len(x))))
 
 
+def test_weighted_mean_of_weights_whose_sum_overflows():
+    # the weights sum to inf; equal weights weigh as unit weights do
+    x = make_uncertain([1.0, 2.0], 0.1)
+    got = weighted_mean(x, [1e308, 1e308])
+    assert _bits(got) == _bits(weighted_mean(x, [1.0, 1.0]))
+    assert str(got) == "1.5(5)"
+
+
+def test_weighted_mean_whose_weighted_sum_overflows():
+    # the weights' sum is finite, their products with the values are not;
+    # powers of two scale exactly, so the bits are the unit weights'
+    x = make_uncertain([1e10, 3e10, 2e10], [0.1, 0.2, 0.4])
+    got = weighted_mean(x, [2.0**1000] * 3)
+    assert _bits(got) == _bits(weighted_mean(x, [1.0] * 3))
+    assert math.isfinite(got.value) and math.isfinite(got.error)
+
+
 def test_median_paper_rule():
     out = median(eighths())
     m = mean(eighths())
