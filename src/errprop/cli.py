@@ -47,11 +47,23 @@ def _parse_vars(pairs: list[str]) -> dict:
     return env
 
 
+def _json_safe(obj):
+    """obj with every non-finite float among its values, and those of the
+    dicts among them, which JSON cannot hold, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _print_json(obj: dict) -> None:
     """Print obj as one line of RFC 8259 JSON: a non-finite float among its
     values, which JSON cannot hold, is written as null."""
-    print(json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
-                      for k, v in obj.items()}, allow_nan=False))
+    print(json.dumps(_json_safe(obj), allow_nan=False))
+
+
+def _value_fields(value: float, error: float, notation: Notation) -> dict:
+    """The JSON fields of one uncertain result, as eval prints them."""
+    return {"value": value, "error": error, "formatted": format_value(value, error, notation)}
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -68,15 +80,15 @@ def cmd_eval(args) -> int:
     ast = parse_expr(args.expr)
     env = _parse_vars(args.vars)
     result = eval_uncertain(ast, env)
-    formatted = format_value(result.value, result.error, notation)
+    fields = _value_fields(result.value, result.error, notation)
     if args.out_format == "json":
-        _print_json({"value": result.value, "error": result.error, "formatted": formatted})
+        _print_json(fields)
     elif args.out_format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["value", "error", "formatted"])
-        w.writerow([repr(result.value), repr(result.error), formatted])
+        w.writerow([repr(result.value), repr(result.error), fields["formatted"]])
     else:
-        print(formatted)
+        print(fields["formatted"])
     return 0
 
 
@@ -122,10 +134,18 @@ def cmd_table(args) -> int:
     table = _load_table(args)
     for name, expression in _col_spec(args.derive, "derive"):
         tbl.derive_column(table, name, expression)
+    # every summary is taken before anything is written: a failing one
+    # leaves stdout empty
+    summaries = [(spec, tbl.summarize(table, spec)) for spec in args.summarize]
     rows = table.formatted(notation)
     if args.out_format == "json":
-        _print_json({"columns": table.names, "rows": rows})
-    elif args.out_format == "csv":
+        doc = {"columns": table.names, "rows": rows}
+        if summaries:
+            doc["summaries"] = {spec: _value_fields(s.value, s.error, notation)
+                                for spec, s in summaries}
+        _print_json(doc)
+        return 0
+    if args.out_format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(table.names)
         w.writerows(rows)
@@ -137,8 +157,7 @@ def cmd_table(args) -> int:
         print("  ".join(n.rjust(w) for n, w in zip(table.names, widths)).rstrip())
         for r in rows:
             print("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
-    for spec in args.summarize:
-        s = tbl.summarize(table, spec)
+    for spec, s in summaries:
         print(f"{spec} = {format_value(s.value, s.error, notation)}")
     return 0
 

@@ -308,6 +308,30 @@ _CELL = (rf"\s*+(?>[+-]?+{_MANTISSA}(?>\({_MANTISSA}\)(?:{_EXP})?+"
          rf"|\(\s*+{_NUMBER}\s*+{_SEP}\s*+{_NUMBER}\s*+\)(?:{_EXP})?+)\s*+")
 _CELLS = rf"{_CELL}(?:\x00{_CELL})*+"
 
+# Every start of a cell _MEASUREMENT_RE reads, and no other text: the
+# offset of a cell that no form reads is the length of its longest such
+# start.  Each _P piece matches the starts of its piece; a start of a
+# sequence is whole pieces and then a start of the next.  Compiled on
+# first use, by re's cache.
+_P_EXP = r"(?:[eE][+-]?+\d*+)?+"
+_P_NONFINITE = r"(?i:i(?:nf?)?|n(?:an?)?)?"
+_P_MANTISSA = rf"(?:\d*+\.?+\d*+|{_P_NONFINITE})"
+_P_NUMBER = rf"[+-]?+(?:{_DIGITS}{_P_EXP}|\.?|{_P_NONFINITE})"
+_P_SEP = r"(?:±|\+(?:/-?)?)?"
+_P_PAREN = rf"[+-]?(?:{_P_MANTISSA}|{_MANTISSA}\((?:{_P_MANTISSA}|{_MANTISSA}\){_P_EXP}))"
+
+
+def _p_plus_minus(p_end: str) -> str:
+    """The starts of "number ± number" followed by a text whose starts
+    p_end matches."""
+    return (rf"(?:{_P_NUMBER}|{_NUMBER}\s*+(?:{_P_SEP}|{_SEP}\s*+"
+            rf"(?:{_P_NUMBER}|{_NUMBER}\s*+{p_end})))")
+
+
+_P_CLOSE = rf"(?:\){_P_EXP})?"
+_STARTS = (rf"\s*+(?:{_P_PAREN}|\(\s*+{_p_plus_minus(_P_CLOSE)}|{_p_plus_minus(_P_EXP)})"
+           rf"|{_MEASUREMENT_RE.pattern}")
+
 
 # an exponent's magnitude saturates here: a numeral would need about this
 # many digits to bring the number back into the float range
@@ -356,17 +380,27 @@ def parse_value(s: str) -> UncertainScalar:
     "+/-" also accepted), each with an optional exponent suffix, or a
     bare number (error 0); inf and nan are numbers ("NaN(NaN)").  A pair
     the UncertainScalar constructor rejects is a ParseError at the
-    uncertainty.
+    uncertainty; a text no form reads is one at the length of its longest
+    start that some cell starts with ("2.0(1" at 5, "2.0(x)" at 4).
     """
     m = _MEASUREMENT_RE.fullmatch(s)
     if not m:
-        # diagnostics: report the first character that no form can start with
-        raise ParseError(f"unrecognized measurement syntax {s!r}", len(s) - len(s.lstrip()))
+        raise ParseError(f"unrecognized measurement syntax {s!r}", _longest_start(s))
     try:
         return UncertainScalar(*_pair(*m.groups()))
     except NegativeError as exc:
         unc = 2 if m.group(1) else 6  # the uncertainty's group in either form
         raise ParseError(str(exc), m.start(unc)) from None
+
+
+def _longest_start(s: str) -> int:
+    """The length of the longest start of s that some cell starts with: a
+    binary search, as every start of such a start is one too."""
+    lo, hi = 0, len(s)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if re.fullmatch(_STARTS, s[:mid]) else (lo, mid - 1)
+    return lo
 
 
 def parse_number(s: str) -> float:

@@ -6,11 +6,12 @@ through the expression a chunk of 2**15 draws at a time and summarized.
 A drawer thread draws one chunk ahead while the calling thread evaluates
 the current one; each stream is drawn by one thread, so given the same
 (expr, env, config) the result is bitwise that of drawing everything at
-once, whatever CHUNK is.  Memory holds the finite outputs and a fixed
-amount for two chunks.  A run that fails on its non-finite outputs may
-have drawn one chunk that it never evaluates.  Used to cross-check the
-first-order Taylor approximation, which degrades when the relative
-errors are large and the expression is strongly nonlinear.
+once, whatever CHUNK is.  Memory holds the finite outputs, 8 bytes per
+draw, and a fixed amount for two chunks; draws with both zeros take
+more.  A run that fails on its non-finite outputs may have drawn one
+chunk that it never evaluates.  Used to cross-check the first-order
+Taylor approximation, which degrades when the relative errors are large
+and the expression is strongly nonlinear.
 """
 
 from __future__ import annotations
@@ -36,14 +37,17 @@ NONFINITE_LIMIT = 0.01
 # draws per variable sampled and evaluated at once.  A drawer thread draws
 # one chunk ahead of the evaluation, and each stream is drawn by one thread,
 # so the results are bitwise those of drawing everything at once.  The
-# peak memory holds the finite outputs and np.std's temporary of them, and
-# a fixed amount for two chunks, not every draw.  A run that fails on its
+# peak memory holds the finite outputs, 8 bytes per draw, and a fixed
+# amount for two chunks, not every draw.  A run that fails on its
 # non-finite outputs may have drawn one chunk that it never evaluates
 CHUNK = 2**15
 
-# order statistics need every output, so a run holds about 2 * 8 bytes per
-# draw at its peak: 1.6 GB at this many
+# order statistics need every output, so a run holds about 8 bytes per
+# draw at its peak: 0.8 GB at this many (draws with both zeros take more)
 MAX_SAMPLES = 10**8
+
+# numpy sums a float64 array pairwise, and splits a run longer than this
+PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
                                        f"{start + m} of {cfg.samples}")
     out = out[:kept]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = _rescaled(lambda o: [_mean(o), float(np.std(o, ddof=1))], out)
+        mean, sd = _rescaled(lambda o: [_mean(o), _sd(o)], out)
         med, mad, *quantiles = _rescaled(lambda o: _order_stats(o, cfg.quantiles), out)
     return McResult(mean=mean, sd=sd, median=med, mad=mad,
                     quantile_values=tuple(quantiles), n_nonfinite=n_bad)
@@ -206,6 +210,53 @@ def _mean(o: np.ndarray) -> float:
     return float(np.add.reduce(o, initial=-0.0) / o.size)
 
 
+def _block() -> int:
+    """The draws a statistic reads at a time: a chunk, but no fewer than
+    numpy's pairwise block, so that _deviation_sum's leaves are numpy's
+    own subtrees."""
+    return max(CHUNK, PAIRWISE_BLOCK)
+
+
+def _sd(o: np.ndarray) -> float:
+    """float(np.std(o, ddof=1)), bit for bit, with no temporary as long
+    as o: the squared deviations from np.std's mean are summed along
+    numpy's own pairwise tree (see _deviation_sum)."""
+    m = np.add.reduce(o) / o.size  # summed from 0.0, as np.std's mean is
+    return math.sqrt(_deviation_sum(o, m, np.empty(min(o.size, _block()))) / (o.size - 1))
+
+
+def _deviation_sum(o: np.ndarray, m: np.float64, buf: np.ndarray) -> float:
+    """np.add.reduce((o - m)**2), bit for bit, squared buf.size at a time.
+
+    numpy sums a run of k > PAIRWISE_BLOCK elements as the sum of its
+    first h = k//2 - (k//2) % 8 and the sum of the rest.  Runs longer
+    than buf are split here in the same way; a shorter one, which numpy
+    would sum as a subtree of its own, is squared into buf and summed by
+    numpy.  The sums are nonnegative, so numpy's 0.0 start adds nothing.
+    """
+    k = o.size
+    if k <= buf.size:
+        d = np.subtract(o, m, out=buf[:k])
+        return float(np.add.reduce(np.square(d, out=d)))
+    h = k // 2 - k // 2 % 8
+    return _deviation_sum(o[:h], m, buf) + _deviation_sum(o[h:], m, buf)
+
+
+def _both_zeros(out: np.ndarray) -> bool:
+    """Whether out holds both -0.0 and 0.0, read a block at a time."""
+    negative = positive = False
+    step = _block()
+    for start in range(0, out.size, step):
+        block = out[start:start + step]
+        zeros = block[block == 0]
+        n_negative = int(np.count_nonzero(np.signbit(zeros)))
+        negative |= n_negative > 0
+        positive |= n_negative < zeros.size
+        if negative and positive:
+            return True
+    return False
+
+
 def _order_stats(out: np.ndarray, quantiles: tuple) -> list[float]:
     """Median, MAD and quantiles of finite draws, in that order, read off
     one sort of out in place.
@@ -214,8 +265,7 @@ def _order_stats(out: np.ndarray, quantiles: tuple) -> list[float]:
     MAD_SCALE * np.median(np.abs(out - m)) and np.quantile(out,
     quantiles), which make three selections and an n-length |out - m|.
     """
-    zeros = out[out == 0]
-    if 0 < np.signbit(zeros).sum() < zeros.size:
+    if _both_zeros(out):
         # -0.0 == 0.0: which zero numpy's selection puts at a rank is its
         # own detail, and its sort may even turn one zero into the other,
         # so draws with both zeros, left in draw order, need the same calls

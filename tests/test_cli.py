@@ -215,7 +215,7 @@ def test_table_derive_from_text_column_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("csv_text, argv, message", [
     # an unclosed parenthesis turns the column into text
     ("x,y\n1.0,2\n2.0(1,3\n", ["--derive", "r=x*2"],
-     "unbound variable: x; row 2, column 'x': unrecognized measurement syntax '2.0(1' (position 0)"),
+     "unbound variable: x; row 2, column 'x': unrecognized measurement syntax '2.0(1' (position 5)"),
     ("x,y\n1.0,2\n2.0,3x\n", ["--abs-error", "y=0.1"],
      "column 'y' is not plain numeric; row 2, column 'y': not a number: '3x' (position 1)"),
     ("x,e\n1.0,0.1\n2.0,0.1x\n", ["--error-col", "x=e"],
@@ -223,7 +223,7 @@ def test_table_derive_from_text_column_is_exit_2(tmp_path, capsys):
      "(position 3)"),
     ("x\n1\n2 +- 1\n", ["--summarize", "sum(x)"],
      "column 'x' is not numeric; row 2, column 'x': unrecognized measurement syntax '2 +- 1' "
-     "(position 0)"),
+     "(position 3)"),
 ])
 def test_table_bad_cell_is_named(tmp_path, capsys, csv_text, argv, message):
     src = tmp_path / "t.csv"
@@ -356,6 +356,41 @@ def test_table_summarize_inf_minus_inf(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.splitlines()[-3:] == ["sum(x) = NaN(NaN)", "mean(x) = NaN(NaN)",
                                      "median(x) = NaN(NaN)"]
+
+
+@pytest.mark.parametrize("csv_text, spec, message", [
+    ("x,y\n1.0(1),2\n2.0(1,3\n", "mean(x)",
+     "column 'x' is not numeric; row 2, column 'x': unrecognized measurement syntax '2.0(1' "
+     "(position 5)"),
+    ("x,y\n1.0(1),2\n2.0(1),3\n", "bogus(x)",
+     "bad summary 'bogus(x)'; use mean(col)|median(col)|sum(col)"),
+])
+@pytest.mark.parametrize("out_format", ["text", "csv", "json"])
+def test_table_failing_summary_writes_nothing(tmp_path, capsys, csv_text, spec, message,
+                                              out_format):
+    # every summary is taken before the table is written
+    src = tmp_path / "t.csv"
+    src.write_text(csv_text)
+    got = run(capsys, "table", str(src), "--summarize", "sum(y)", "--summarize", spec,
+              "--format", out_format)
+    assert got == (2, "", f"errprop: {message}\n")
+
+
+def test_table_json_holds_the_summaries(tmp_path, capsys):
+    # eval --format json's fields for each, inside the one object; a number
+    # JSON cannot hold is null
+    src = tmp_path / "t.csv"
+    src.write_text("x,y\n1.0(1),Inf(1)\n2.0(1),-Inf(1)\n")
+    code, out, _ = run(capsys, "table", str(src), "--summarize", "mean(x)",
+                       "--summarize", "sum(y)", "--format", "json")
+    assert code == 0 and out.count("\n") == 1
+    doc = _strict_json(out)
+    assert doc["summaries"] == {
+        "mean(x)": {"value": 1.5, "error": 0.5, "formatted": "1.5(5)"},
+        "sum(y)": {"value": None, "error": None, "formatted": "NaN(NaN)"},
+    }
+    code, out, _ = run(capsys, "table", str(src), "--format", "json")
+    assert "summaries" not in json.loads(out)
 
 
 def test_table_missing_column_is_exit_2(tmp_path, capsys):

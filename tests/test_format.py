@@ -131,6 +131,31 @@ def test_parse_errors(bad):
         parse_value(bad)
 
 
+@pytest.mark.parametrize("bad, position", [
+    ("2.0(1", 5), ("2.0(x)", 4), ("  3x", 3), ("abc", 0), ("", 0), ("2 +- 1", 3),
+    ("(1)", 2), ("1 ± 2)", 5), ("infinity", 3), ("1e5(1)", 3), ("1(1)e5x", 6), ("+.e", 2),
+    ("1 e5", 2), ("(1 ± 2)x", 7),
+])
+def test_parse_error_is_at_the_longest_start_of_a_cell(bad, position):
+    # the length of the longest start of the text that some cell starts with
+    with pytest.raises(ParseError, match=rf"^unrecognized measurement syntax .* "
+                                         rf"\(position {position}\)$"):
+        parse_value(bad)
+
+
+@pytest.mark.parametrize("cell", [
+    "100.02147(35)", "100.02147(0.00035)", " 100.02147 ± 0.00035 ", "100.02147 +/- 0.00035",
+    "( -1.5e2 ± .5 )E-3", "1.6021766208(98)e-19", "-0.76(9)", "1.0e2 ± 5", "-inf ± 2",
+    "(Inf ± 1)e3", "INF(1)e-3", "+NaN(nan)", "2e-3", ".5", "1.", "1 ± 2 e5", "1.5(2)e٢",
+])
+def test_every_start_of_a_cell_is_one(cell):
+    # no cell holds "#": a cell cut there fails at the cut
+    parse_value(cell)
+    for k in range(len(cell) + 1):
+        with pytest.raises(ParseError, match=rf"\(position {k}\)$"):
+            parse_value(cell[:k] + "#" + cell[k:])
+
+
 @pytest.mark.parametrize("s", ["NaN(NaN)", "NaN ± NaN", " NaN +/- NaN ", "nan(nan)"])
 def test_parse_nan_pair(s):
     out = parse_value(s)

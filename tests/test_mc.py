@@ -1,8 +1,10 @@
+import gc
 import math
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from errprop import McConfig, compare_tsm_mcm, eval_numeric, mc, mc_propagate, p
 from errprop.core import UncertainScalar
 from errprop.exceptions import NonFiniteSamples, UnboundVariable
 from errprop.expr import free_variables
-from errprop.mc import CHUNK, MAD_SCALE, MAX_SAMPLES, _fill, _mean, _order_stats
+from errprop.mc import CHUNK, MAD_SCALE, MAX_SAMPLES, _fill, _mean, _order_stats, _sd
 
 
 def xy_env():
@@ -405,10 +407,75 @@ def _peak(n):
 
 
 def test_mc_propagate_memory():
-    # the finite outputs and np.std's temporary of them grow with n; the
-    # chunk's draws and evaluation temporaries do not
+    # the finite outputs grow with n; the chunk's draws and evaluation
+    # temporaries do not
     n = 100_000
     _peak(n)  # first-call allocations out of the count
     small, large = _peak(n), _peak(4 * n)
     assert small <= 6.5 * 8 * n
     assert large - small <= 2.25 * 8 * 3 * n
+
+
+def test_mc_propagate_memory_is_8_bytes_per_draw():
+    # the finite outputs are all that grows with n: the sd takes no n-length
+    # temporary, and the test for both zeros no n-length mask
+    n = 100_000
+    _peak(n)  # first-call allocations out of the count
+    small, large = _peak(n), _peak(4 * n)
+    assert large - small <= 1.1 * 8 * 3 * n
+    n = 4 * 10**6
+    assert _peak(n) <= 8 * n + 3.5e6
+
+
+@pytest.mark.parametrize("expr, env", [
+    ("sin(x)/y + ln(z)^2", _ln_env()),
+    ("x*k", {"x": UncertainScalar(0, 1), "k": 0}),  # both zeros
+    ("x", {"x": UncertainScalar(1.7e308, 1e300)}),  # statistics taken again, rescaled
+])
+def test_mc_propagate_holds_no_draws_after_it_returns(expr, env):
+    # with no cyclic garbage collector, a reference cycle would keep the
+    # finite outputs alive after mc_propagate returns
+    n = 100_000
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        mc_propagate(parse_expr(expr), env, McConfig(samples=n, seed=2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert held < 8 * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300) | st.integers(2, 4 * CHUNK + 9), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, -1.0, -3.7, 1e-300, -1e-300, 5e-324, 1e150, -1e150, 1e200, 1e306]),
+       st.sampled_from([1, 7, CHUNK]))
+@example(CHUNK + 1, 0, 1.0, CHUNK)  # one leaf more than a chunk
+@example(4 * CHUNK + 9, 1, 1e200, 7)  # the squares overflow
+def test_sd_is_numpys_std_bit_for_bit(n, seed, scale, chunk):
+    # the pairwise tree's leaves are a chunk, but at least 128 draws long
+    rng = np.random.default_rng(seed)
+    o = (rng.standard_normal(n) + rng.standard_normal()) * scale
+    # overflow in either is the same overflow
+    with np.errstate(all="ignore"), mock.patch.object(mc, "CHUNK", chunk):
+        assert _bits(_sd(o)) == _bits(np.std(o, ddof=1))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK])
+@pytest.mark.parametrize("seed", range(4))
+def test_order_stats_finds_both_zeros_in_different_chunks(monkeypatch, chunk, seed):
+    # the zeros of the first block read at a time are 0.0, those of the
+    # later ones -0.0, or the other way round
+    monkeypatch.setattr(mc, "CHUNK", chunk)
+    block, rng = max(chunk, 128), np.random.default_rng(seed)
+    n = 3 * block + 5
+    out = np.where(rng.random(n) < 0.5, 0.0, rng.standard_normal(n))
+    first, later = (0.0, -0.0) if seed % 2 else (-0.0, 0.0)
+    out[out == 0] = later
+    out[:block][out[:block] == 0] = first
+    assert mc._both_zeros(out) and not mc._both_zeros(np.abs(out))
+    got = _order_stats(out.copy(), QUANTILES)
+    assert _bits(*got) == _bits(*_reference_order_stats(out, QUANTILES))
