@@ -292,10 +292,13 @@ _MANTISSA = rf"(?>{_DIGITS}|{_NONFINITE})"
 _SEP = r"(?:±|\+/-)"
 
 # The measurement forms, with the groups _pair takes: parse_value and
-# parse_column's fallback fullmatch one cell.
+# parse_column's fallback fullmatch one cell.  No piece starts with a
+# blank, so blank runs are possessive and a failing cell takes linear
+# time; a group is never under a possessive quantifier, as CPython's re
+# can then misplace its span.
 _PAREN = rf"([+-]?{_MANTISSA})\(({_MANTISSA})\)({_EXP})?"
-_PM = rf"(?P<lp>\()?\s*({_NUMBER})\s*{_SEP}\s*({_NUMBER})\s*(?(lp)\))({_EXP})?"
-_MEASUREMENT_RE = re.compile(rf"\s*(?:{_PAREN}|{_PM}|({_NUMBER}))\s*")
+_PM = rf"(?P<lp>\()?\s*+({_NUMBER})\s*+{_SEP}\s*+({_NUMBER})\s*+(?(lp)\))({_EXP})?"
+_MEASUREMENT_RE = re.compile(rf"\s*+(?:{_PAREN}|{_PM}|({_NUMBER}))\s*+")
 _NUMBER_RE = re.compile(_NUMBER)
 # a NUL-joined column of bare numbers, each cell exactly one number
 _NUMBERS_RE = re.compile(rf"{_NUMBER}(?:\x00{_NUMBER})*+")

@@ -2,16 +2,17 @@
 
 Inputs are modeled as independent normals N(value, error^2), each drawn
 from its own stream, spawned from numpy's default PCG64 generator, pushed
-through the expression a chunk of 2**15 draws at a time and summarized.
-A drawer thread draws one chunk ahead while the calling thread evaluates
-the current one; each stream is drawn by one thread, so given the same
-(expr, env, config) the result is bitwise that of drawing everything at
-once, whatever CHUNK is.  Memory holds the finite outputs, 8 bytes per
-draw, and a fixed amount for two chunks; draws with both zeros take
-more.  A run that fails on its non-finite outputs may have drawn one
-chunk that it never evaluates.  Used to cross-check the first-order
-Taylor approximation, which degrades when the relative errors are large
-and the expression is strongly nonlinear.
+through the expression a chunk of CHUNK draws at a time and summarized.
+A drawer thread draws chunk k + 1 while the calling thread evaluates
+chunk k (see _drawn_ahead); each stream is drawn by one thread, so given
+the same (expr, env, config) the result is bitwise that of drawing
+everything at once, whatever CHUNK is.  Memory holds the finite outputs,
+8 bytes per draw, and a fixed amount for two chunks; draws with both
+zeros, or whose sums overflow near the float limit, take more.  A run
+that fails on its non-finite outputs may have drawn one chunk that it
+never evaluates.  Used to cross-check the first-order Taylor
+approximation, which degrades when the relative errors are large and the
+expression is strongly nonlinear.
 """
 
 from __future__ import annotations
@@ -34,16 +35,14 @@ MAD_SCALE = 1.4826
 # above this fraction of non-finite evaluations the run is rejected
 NONFINITE_LIMIT = 0.01
 
-# draws per variable sampled and evaluated at once.  A drawer thread draws
-# one chunk ahead of the evaluation, and each stream is drawn by one thread,
-# so the results are bitwise those of drawing everything at once.  The
-# peak memory holds the finite outputs, 8 bytes per draw, and a fixed
-# amount for two chunks, not every draw.  A run that fails on its
-# non-finite outputs may have drawn one chunk that it never evaluates
+# draws per variable sampled, handed over by the drawer thread (see
+# _drawn_ahead) and evaluated at once: the results are the same bits
+# whatever it is, and two chunks are the fixed part of the memory
 CHUNK = 2**15
 
 # order statistics need every output, so a run holds about 8 bytes per
-# draw at its peak: 0.8 GB at this many (draws with both zeros take more)
+# draw at its peak: 0.8 GB at this many (draws with both zeros, or whose
+# sums overflow near the float limit, take more)
 MAX_SAMPLES = 10**8
 
 # numpy sums a float64 array pairwise, and splits a run longer than this
@@ -62,6 +61,8 @@ class McConfig:
             raise ValueError(f"samples must lie in [2, {MAX_SAMPLES}], got {self.samples}")
         if any(not 0 < q < 1 for q in self.quantiles):
             raise ValueError("quantiles must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -140,41 +141,37 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
 def _drawn_ahead(drawn: list, sizes: list[int]):
     """For each chunk length m in sizes, yield a dict of the next m draws of
     each (name, rng, value, error) in drawn, drawn by a thread one chunk
-    ahead: it fills the next chunk's buffers while the caller evaluates
-    this one's.  The two sets of buffers, taken in turn, are allocated
-    here, on the calling thread; a yielded chunk's are refilled once the
-    caller asks for the next.  Closing the generator stops and joins the
-    thread, which by then may have drawn one chunk more than was yielded.
+    ahead into two sets of buffers, taken in turn and allocated here, on
+    the calling thread.  The threads meet at a barrier once per chunk k,
+    after which the drawer fills chunk k + 1 into the set of chunk k - 1,
+    which the caller is done with.  Closing the generator aborts the
+    barrier and joins the thread, which may have drawn one chunk more.
     """
     slots = [{name: np.empty(sizes[0]) for name, *_ in drawn} for _ in range(2)]
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
-    stop, failure = False, []
+    handoff, failure = threading.Barrier(2), []
 
     def draw():
         try:
             for k, m in enumerate(sizes):
-                free.acquire()
-                if stop:
-                    return
                 for name, rng, value, error in drawn:
                     _fill(rng, value, error, slots[k % 2][name][:m])
-                ready.release()
+                handoff.wait()
+        except threading.BrokenBarrierError:  # the caller stopped
+            return
         except BaseException as exc:  # handed to the caller, which would wait forever
             failure.append(exc)
-            ready.release()
+            handoff.abort()
 
     thread = threading.Thread(target=draw, name="errprop-mc-drawer", daemon=True)
     thread.start()
     try:
         for k, m in enumerate(sizes):
-            ready.acquire()
-            if failure:
-                raise failure[0]
+            handoff.wait()
             yield {name: buf[:m] for name, buf in slots[k % 2].items()}
-            free.release()
+    except threading.BrokenBarrierError:  # only the drawer aborts while the caller waits
+        raise failure[0] from None
     finally:
-        stop = True
-        free.release()  # wakes a drawer waiting for a free set
+        handoff.abort()
         thread.join()
 
 

@@ -25,8 +25,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "UNARY_FUNCTIONS",
-    "BINARY_FUNCTIONS",
     "propagate_unary",
     "propagate_binary",
     "propagate_general",
@@ -168,9 +166,6 @@ BINARY_RULES = {
     "pow": (np.power, _d_pow_base, _d_pow_exp),
     "atan2": (np.arctan2, lambda y, x: _over_sum_of_squares(x, y, x), _d_atan2_x),
 }
-
-UNARY_FUNCTIONS = frozenset(UNARY_RULES)
-BINARY_FUNCTIONS = frozenset(BINARY_RULES)
 
 # propagation rule -> operator method names, installed on UncertainVector
 # and UncertainScalar at the end of this module: (method,) for unary rules,

@@ -175,20 +175,32 @@ _SUMMARY_FUNCS = {
     "sum": summaries.total,
 }
 
-_SUMMARY_RE = re.compile(r"\s*(?P<fn>mean|median|sum)\(\s*(?P<col>[^)]+?)\s*\)\s*$")
+# a function name, then the column between parentheses; no two pieces
+# can take the same character, so a spec is read in linear time
+_SUMMARY_RE = re.compile(rf"\s*({'|'.join(map(re.escape, _SUMMARY_FUNCS))})\(([^)]*)\)\s*")
+
+
+def _read_summary(spec: str) -> tuple[str, str]:
+    """The function name and the column of a spec like "mean(x)".  The
+    column is the text between the parentheses, stripped, or its last
+    character when that text is blank."""
+    m = _SUMMARY_RE.fullmatch(spec)
+    col = m and (m[2].strip() or m[2][-1:])
+    if not col:
+        use = "|".join(f"{fn}(col)" for fn in _SUMMARY_FUNCS)
+        raise ErrpropError(f"bad summary {spec!r}; use {use}")
+    return m[1], col
 
 
 def summarize(table: Table, spec: str) -> UncertainScalar:
     """Evaluate a cross-row aggregate like "mean(x)" over one column."""
-    m = _SUMMARY_RE.match(spec)
-    if not m:
-        raise ErrpropError(f"bad summary {spec!r}; use mean(col)|median(col)|sum(col)")
-    col = table.columns.get(m.group("col"))
+    fn, name = _read_summary(spec)
+    col = table.columns.get(name)
     if col is None:
-        raise ErrpropError(f"no such column: {m.group('col')!r}")
+        raise ErrpropError(f"no such column: {name!r}")
     if isinstance(col, np.ndarray):
         col = make_uncertain(col, 0.0)
     if not isinstance(col, UncertainVector):
-        raise ErrpropError(f"column {m.group('col')!r} is not numeric"
-                           + _first_bad_cell(table, m.group("col"), parse_value))
-    return _SUMMARY_FUNCS[m.group("fn")](col)
+        raise ErrpropError(f"column {name!r} is not numeric"
+                           + _first_bad_cell(table, name, parse_value))
+    return _SUMMARY_FUNCS[fn](col)

@@ -434,6 +434,12 @@ def test_mc_bad_config_is_exit_2(monkeypatch, capsys, flag, value):
     assert (code, out) == (2, "") and f"errprop: {flag} must lie in" in err
 
 
+def test_mc_negative_seed_is_exit_2(capsys):
+    # refused by McConfig with the flag's name, not by numpy
+    code, out, err = run(capsys, "mc", "x", "x=1(1)", "--seed", "-1")
+    assert (code, out, err) == (2, "", "errprop: --seed must be a nonnegative integer, got -1\n")
+
+
 def test_mc_exact_negative_zero(capsys):
     # an exact -0.0 is bound as -0.0, not drawn: atan2(-0.0, -1) is -pi
     code, out, _ = run(capsys, "mc", "atan2(k, x)", "k=-0", "x=-1.00(1)", "--samples", "1000",
@@ -603,3 +609,85 @@ def test_eval_json_is_strict_json(capsys, expr, x, y):
     if code == 0:
         doc = _strict_json(out)
         assert set(doc) == {"value", "error", "formatted"}
+
+
+# flag values, good and bad, for every subcommand; mc draws at most 1,000
+# samples, as a drawn --samples overrides the 200 put before it
+_CSV = "a,b,u,g\n1.5,2,1.0(1),p\n2.5,0,2.0 ± 0.2,q\n-1,3,3(1),p\n"
+_common_flags = st.lists(st.sampled_from([
+    ["--digits", "-1"], ["--digits", "0"], ["--digits", "2"], ["--digits", "17"],
+    ["--digits", "18"], ["--digits", "x"], ["--notation", "plus-minus"],
+    ["--notation", "parenthesis"], ["--notation", "gum"], ["--format", "json"],
+    ["--format", "csv"], ["--format", "text"], ["--format", "xml"],
+]), max_size=3)
+_mc_flags = st.lists(st.sampled_from([
+    ["--seed", "-1"], ["--seed", "0"], ["--seed", str(2**70)], ["--seed", "x"],
+    ["--quantiles", "0"], ["--quantiles", "1"], ["--quantiles", "nan"], ["--quantiles", "0.5"],
+    ["--quantiles", "0.1", "0.9"], ["--samples", "0"], ["--samples", "1"], ["--samples", "2"],
+    ["--samples", "1000"], ["--samples", str(10**9)], ["--samples", "x"],
+]), max_size=3)
+_table_flags = st.lists(st.tuples(
+    st.sampled_from(["--rel-error", "--abs-error"]),
+    st.sampled_from(["a=0.1", "b=2", "a=-1", "a=x", "a=inf", "a=nan", "a", "=0.1", "zz=0.1",
+                     "g=0.1", "u=0.1", "a=0.1=2"]),
+).map(list) | st.tuples(
+    st.just("--error-col"),
+    st.sampled_from(["a=b", "b=a", "a=g", "a=u", "u=a", "a=zz", "zz=a", "a", "a=a"]),
+).map(list), max_size=3)
+_derive_flags = st.lists(st.tuples(st.just("--derive"), st.sampled_from([
+    "r=a/b", "r=sin(u)*a", "r=u^b", "r=", "=a", "r=a +", "r=zz", "r=g*2", "a=b", "r",
+    "r=1", "r=a, b",
+])).map(list), max_size=2)
+_summary_flags = st.lists(st.tuples(st.just("--summarize"), st.sampled_from([
+    "mean(a)", "median(u)", "sum(b)", "sum(g)", "mean(zz)", "mode(a)", "mean(", "sum( )",
+    "median(r)", "mean(a)x",
+])).map(list), max_size=2)
+_exprs = st.sampled_from(["x/y", "sin(x)", "x +", "x^y", "-x", "ln(x)", "zz", "1", "x*k",
+                          "atan2(x, y)", "sqrt(x, y)", ""])
+_bindings = st.lists(st.sampled_from([
+    "x=1(1)", "x=0(1)", "y=2.0 ± 0.1", "y=0", "x=", "=1", "x", "y=-1(1)", "x=1 ± -1",
+    "x=nan(1)", "k=0", "k=-0", "x=1e308(1e307)", "x=1.7e308 ± 1e300", "x=1(1)(1)",
+]), max_size=3)
+_columns = st.sampled_from(["a", "b", "u", "g", "zz"])
+
+
+# the input, as a readable CSV, a missing file or a directory, and the
+# SVG output, as a new file, a file in a missing directory or a directory
+_inputs = st.sampled_from(["@csv", "@missing", "@dir"])
+_outputs = st.sampled_from(["@svg", "@no-dir/o.svg", "@dir"])
+
+
+def _flat(flags: list[list[str]]) -> list[str]:
+    return [s for flag in flags for s in flag]
+
+
+_argvs = (
+    st.tuples(_common_flags.map(_flat), _exprs, _bindings).map(
+        lambda t: ["eval", *t[0], "--", t[1], *t[2]])
+    | st.tuples(_common_flags.map(_flat), _mc_flags.map(_flat), _exprs, _bindings).map(
+        lambda t: ["mc", "--samples", "200", *t[0], *t[1], "--", t[2], *t[3]])
+    | st.tuples(_inputs, _table_flags.map(_flat), _derive_flags.map(_flat),
+                _summary_flags.map(_flat), _common_flags.map(_flat)).map(
+        lambda t: ["table", t[0], *t[1], *t[2], *t[3], *t[4]])
+    | st.tuples(_inputs, _table_flags.map(_flat), _columns, _columns,
+                st.lists(_columns, max_size=1), _outputs).map(
+        lambda t: ["plot", t[0], *t[1], "--x", t[2], "--y", t[3],
+                   *[s for g in t[4] for s in ("--group", g)], "-o", t[5]])
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs)
+def test_exit_codes_of_random_argv_are_0_or_2(tmp_path, capsys, argv):
+    # every subcommand and flag, with values good and bad; an argparse
+    # exit counts by its code, and exit 1 is a bug
+    (tmp_path / "t.csv").write_text(_CSV, encoding="utf-8")
+    paths = {"@csv": tmp_path / "t.csv", "@missing": tmp_path / "missing.csv", "@dir": tmp_path,
+             "@svg": tmp_path / "o.svg", "@no-dir/o.svg": tmp_path / "no-dir" / "o.svg"}
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2), (argv, capsys.readouterr().err)

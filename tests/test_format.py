@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
@@ -141,6 +142,17 @@ def test_parse_error_is_at_the_longest_start_of_a_cell(bad, position):
     with pytest.raises(ParseError, match=rf"^unrecognized measurement syntax .* "
                                          rf"\(position {position}\)$"):
         parse_value(bad)
+
+
+@pytest.mark.parametrize("bad, position", [
+    (" " * 10000 + "x", 10000), ("(" + " " * 10000 + "x", 10001), ("1 ±" + " " * 10000 + "x", 10003),
+], ids=["blanks", "paren-blanks", "plus-minus-blanks"])
+def test_parse_error_after_a_long_blank_run_is_prompt(bad, position):
+    # each blank is read once, not once per way to split the run
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=rf"\(position {position}\)$"):
+        parse_value(bad)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("cell", [

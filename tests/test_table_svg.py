@@ -1,11 +1,12 @@
 import math
 import re
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from errprop import eval_uncertain, formatting, make_uncertain, parse_expr, svg, table
 from errprop.cli import main
@@ -99,6 +100,43 @@ def test_summarize():
         summarize(t, "mode(x)")
     with pytest.raises(ErrpropError):
         summarize(t, "mean(missing)")
+
+
+# the spec pattern before the reader was linear, kept as the reference
+_SUMMARY_REFERENCE = re.compile(r"\s*(?P<fn>mean|median|sum)\(\s*(?P<col>[^)]+?)\s*\)\s*$")
+_SPEC_PIECES = ["mean", "median", "sum", "mode", "(", ")", " ", "\t", "\n", "\xa0", "x", "a b",
+                "med", "ian", "su"]
+_pieces = st.lists(st.sampled_from(_SPEC_PIECES), max_size=4).map("".join)
+_blanks = st.lists(st.sampled_from([" ", "\t", "\n", "\xa0"]), max_size=3).map("".join)
+# mostly specs of the form the reader takes, each piece of which may be off
+_specs = (st.tuples(_blanks | _pieces, st.sampled_from(["mean", "median", "sum", "mode"]),
+                    st.sampled_from(["(", "(", ""]), _pieces, st.sampled_from([")", ")", ""]),
+                    _blanks | _pieces)
+          .map("".join)
+          | st.lists(st.sampled_from(_SPEC_PIECES), max_size=8).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs)
+@example("mean( )")
+@example("sum( \t)\n")
+@example(" median(a b )  ")
+def test_summary_reader_matches_reference(spec):
+    m = _SUMMARY_REFERENCE.match(spec)
+    try:
+        got = table._read_summary(spec)
+    except ErrpropError as exc:
+        assert m is None
+        assert str(exc) == f"bad summary {spec!r}; use mean(col)|median(col)|sum(col)"
+    else:
+        assert m is not None and got == (m["fn"], m["col"])
+
+
+def test_summary_reader_is_linear():
+    start = time.perf_counter()
+    with pytest.raises(ErrpropError, match="bad summary"):
+        table._read_summary("mean(x" + " " * 50_000 + "y")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_duplicate_header_rejected():
