@@ -181,7 +181,9 @@ def cmd_mc(args) -> int:
         ("mcm_mad", report.mcm.mad),
     ]
     for q, qv in zip(cfg.quantiles, report.mcm.quantile_values):
-        pairs.append((f"mcm_q{q:g}", qv))
+        # repr is the shortest text that reads back as q, so distinct
+        # quantiles get distinct keys; it is {q:g}'s text wherever that is
+        pairs.append((f"mcm_q{float(q)!r}", qv))
     pairs.append(("relative_gap", report.relative_gap))
     if args.out_format == "json":
         # JSON only: the text and CSV output keep their fields

@@ -10,6 +10,8 @@ Grammar (EBNF):
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than
 * and /, which bind tighter than + and -.  Numbers are exact constants.
+Where an exponent is exactly 2, x^2 is x*x (np.square), correctly
+rounded, in both evaluators and at every length; numpy's pow is not.
 Nesting deeper than MAX_NESTING levels is a ParseError.
 Every syntactic occurrence of a variable is an independent measurement:
 "x + x" and "2*x" propagate differently, on purpose.
@@ -332,8 +334,10 @@ def eval_uncertain(ast: ExprAst, env: dict) -> UncertainScalar | UncertainVector
 # Both evaluators make the same numpy calls: a number is a length-1 array,
 # and a length-1 operand is repeated to the other's length, as propagation's
 # _operand does.  numpy takes other paths for a 0-d or a broadcast operand
-# (x*x for x^2, sqrt(x) for x^0.5, where pow gives inf for (-inf)^0.5), and
-# their last bits can differ, so a value would depend on the operands' length.
+# (sqrt(x) for x^0.5, where pow gives inf for (-inf)^0.5), and their last
+# bits can differ, so a value would depend on the operands' length.  The
+# one exception is x^2: an exponent of exactly 2 is np.square(x), at every
+# length, so a length-1 2 is found before any repeat.
 
 def _numeric_leaf(node: Const | Var, env: dict) -> np.ndarray:
     v = np.asarray(_bound(node, env), dtype=float)
@@ -341,6 +345,8 @@ def _numeric_leaf(node: Const | Var, env: dict) -> np.ndarray:
 
 
 def _numeric_binary(fn: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if fn == "pow" and y.size == 1 and y[0] == 2.0:
+        return np.square(x)
     if x.size != y.size:
         x, y = (np.repeat(a, max(x.size, y.size)) if a.size == 1 else a for a in (x, y))
     return BINARY_RULES[fn][0](x, y)

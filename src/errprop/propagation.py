@@ -120,6 +120,20 @@ def _d_pow_base(x, y):
     return np.multiply(y, t, out=out)
 
 
+def _power(x, y):
+    """np.power(x, y) for operands of one length, but np.square(x) wherever
+    y is exactly 2: there numpy's pow is not correctly rounded, and each
+    element's value is the same whatever the others' exponents are."""
+    out = np.power(x, y)
+    np.square(x, out=out, where=y == 2.0)
+    return out
+
+
+def _d_square(x):
+    # y * x^(y - 1) at y = 2, bit for bit: pow(x, 1.0) is x
+    return np.multiply(x, 2.0)
+
+
 def _d_pow_exp(x, y):
     t = np.log(x)
     t *= np.power(x, y)
@@ -163,7 +177,7 @@ BINARY_RULES = {
     "sub": (np.subtract, _one_x, _minus_one_y),
     "mul": (np.multiply, lambda x, y: y, lambda x, y: x),
     "div": (np.divide, lambda x, y: 1.0 / y, _d_div_y),
-    "pow": (np.power, _d_pow_base, _d_pow_exp),
+    "pow": (_power, _d_pow_base, _d_pow_exp),
     "atan2": (np.arctan2, lambda y, x: _over_sum_of_squares(x, y, x), _d_atan2_x),
 }
 
@@ -245,7 +259,11 @@ def propagate_unary(fn: str, x) -> UncertainVector:
         f, fp = UNARY_RULES[fn]
     except KeyError:
         raise UnknownFunction(f"unknown unary function {fn!r}") from None
-    x = as_uncertain(x)
+    return _unary(f, fp, as_uncertain(x))
+
+
+def _unary(f, fp, x: UncertainVector) -> UncertainVector:
+    # f and its derivative fp applied to x, under the caller's errstate
     nonzero = np.count_nonzero(x.errors)
     values = f(x.values)
     # an exact operand's derivative is not evaluated
@@ -289,6 +307,9 @@ def propagate_binary(fn: str, x, y) -> UncertainVector:
     n = ly if lx == 1 else lx
     if ly not in (1, n):
         raise LengthMismatch(f"operand lengths {lx} and {ly}")
+    if fn == "pow" and ly == 1 and (y.values[0], y.errors[0]) == (2.0, 0.0):
+        # x^2 with an exact 2 is x's square, decided before any repeat
+        return _unary(np.square, _d_square, x)
     (xv, xe, nx), (yv, ye, ny) = _operand(x, n), _operand(y, n)
     values = f(xv, yv)
     # an exact operand adds no term, and its derivative is not evaluated

@@ -181,11 +181,10 @@ _SUMMARY_RE = re.compile(rf"\s*({'|'.join(map(re.escape, _SUMMARY_FUNCS))})\(([^
 
 
 def _read_summary(spec: str) -> tuple[str, str]:
-    """The function name and the column of a spec like "mean(x)".  The
-    column is the text between the parentheses, stripped, or its last
-    character when that text is blank."""
+    """The function name and the column of a spec like "mean(x)": the text
+    between the parentheses, stripped, which must not be blank."""
     m = _SUMMARY_RE.fullmatch(spec)
-    col = m and (m[2].strip() or m[2][-1:])
+    col = m and m[2].strip()
     if not col:
         use = "|".join(f"{fn}(col)" for fn in _SUMMARY_FUNCS)
         raise ErrpropError(f"bad summary {spec!r}; use {use}")

@@ -440,6 +440,33 @@ def test_mc_negative_seed_is_exit_2(capsys):
     assert (code, out, err) == (2, "", "errprop: --seed must be a nonnegative integer, got -1\n")
 
 
+def test_mc_equal_quantiles_are_exit_2(capsys):
+    code, out, err = run(capsys, "mc", "x", "x=1(1)", "--quantiles", "0.5", "0.5")
+    assert (code, out, err) == (2, "", "errprop: --quantiles must be distinct\n")
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_mc_distinct_quantiles_get_distinct_keys(capsys, out_format):
+    # 0.1 and 0.1000001 print alike with six significant digits
+    qs = ["0.025", "0.1", "0.1000001", "0.975"]
+    code, out, _ = run(capsys, "mc", "x", "x=1(1)", "--samples", "1000", "--quantiles", *qs,
+                       "--format", out_format)
+    assert code == 0
+    if out_format == "json":
+        keys = [k for k in json.loads(out) if k.startswith("mcm_q")]
+    else:
+        keys = [k for k in out.splitlines()[0].split(",") if k.startswith("mcm_q")]
+    assert keys == [f"mcm_q{q}" for q in qs]
+
+
+def test_table_blank_summary_column_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("x\n1.00(3)\n")
+    code, out, err = run(capsys, "table", str(src), "--summarize", "mean( )")
+    assert (code, out) == (2, "")
+    assert err == "errprop: bad summary 'mean( )'; use mean(col)|median(col)|sum(col)\n"
+
+
 def test_mc_exact_negative_zero(capsys):
     # an exact -0.0 is bound as -0.0, not drawn: atan2(-0.0, -1) is -pi
     code, out, _ = run(capsys, "mc", "atan2(k, x)", "k=-0", "x=-1.00(1)", "--samples", "1000",

@@ -479,3 +479,88 @@ def test_order_stats_finds_both_zeros_in_different_chunks(monkeypatch, chunk, se
     assert mc._both_zeros(out) and not mc._both_zeros(np.abs(out))
     got = _order_stats(out.copy(), QUANTILES)
     assert _bits(*got) == _bits(*_reference_order_stats(out, QUANTILES))
+
+
+# draws that hold no two zeros of opposite sign, as the sorted path gets them
+_ONE_ZERO_LISTS = st.lists(st.sampled_from(_POOL) | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=60).filter(lambda v: not mc._both_zeros(np.array(v)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ONE_ZERO_LISTS, st.lists(st.sampled_from([1e-9, 0.001, 0.025, 0.25, 0.5, 0.75, 0.975,
+                                                  0.999, 1 - 1e-9]) | st.floats(0, 1, exclude_min=True,
+                                                                               exclude_max=True),
+                                 min_size=1, max_size=4))
+@example([-0.0], [0.5])  # numpy reads the last draw at index -1, so -0.0 stays -0.0
+@example([1.0, 2.0], [0.5, 0.5])  # a repeated quantile
+@example([-1.7e308, 1.7e308], [0.5])  # the difference overflows
+def test_quantile_reader_is_numpys(values, qs):
+    s = np.sort(np.array(values))
+    at = mc._ranks(s[:0], s)
+    with np.errstate(all="ignore"):  # overflow in either is the same overflow
+        got = [mc._quantile(at, s.size, q) for q in qs]
+        want = np.quantile(s, tuple(qs))
+    assert _bits(*got) == _bits(*want)
+
+
+# few distinct values make ties; + 0.0 makes -0.0 0.0, so no two zeros differ
+_TIED = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 1.5, 3.0]) | st.floats(-10, 10).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TIED, max_size=40), st.lists(_TIED, max_size=40))
+def test_rank_reader_reads_the_merged_sort(a, b):
+    # halves with ties, of unequal lengths, or empty
+    a, b = np.sort(np.array(a, dtype=float)), np.sort(np.array(b, dtype=float))
+    merged = np.sort(np.concatenate((a, b)))
+    at = mc._ranks(a, b)
+    assert _bits(*(at(r) for r in range(merged.size))) == _bits(*merged)
+
+
+@pytest.mark.parametrize("n", sorted({2, 3, *range(mc.PAIRWISE_BLOCK - 9, mc.PAIRWISE_BLOCK + 10),
+                                      *range(2 * mc.PAIRWISE_BLOCK - 9, 2 * mc.PAIRWISE_BLOCK + 10),
+                                      CHUNK - 9, CHUNK, CHUNK + 1, CHUNK + 9, 2 * CHUNK + 9}))
+def test_moments_on_two_threads_are_mean_and_sd(n):
+    # each half's sum is a subtree of numpy's pairwise sum
+    rng = np.random.default_rng(n)
+    for scale in (1.0, -3.7, 1e-300, 1e200):
+        o = (rng.standard_normal(n) + rng.standard_normal()) * scale
+        with np.errstate(all="ignore"):
+            assert _bits(*mc._moments(o)) == _bits(_mean(o), _sd(o))
+    zeros = -np.zeros(n)  # all -0.0: the mean is -0.0
+    assert _bits(*mc._moments(zeros)) == _bits(_mean(zeros), _sd(zeros))
+
+
+def _helpers():
+    return [t for t in threading.enumerate() if t.name == "errprop-mc-helper"]
+
+
+@pytest.mark.parametrize("where", ["_zero_signs", "_deviation_sum"])
+def test_helper_failure_reaches_the_caller(monkeypatch, where):
+    # an error in the helper thread, before its wait (_zero_signs) or after
+    # it (_deviation_sum), is raised by mc_propagate, and the helper is gone
+    class HelperFailed(Exception):
+        pass
+
+    real = getattr(mc, where)
+
+    def fail_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise HelperFailed
+        return real(*args)
+
+    monkeypatch.setattr(mc, where, fail_off_the_main_thread)
+    before = threading.active_count()
+    with pytest.raises(HelperFailed):
+        mc_propagate(parse_expr("x"), {"x": UncertainScalar(0, 1)}, McConfig(samples=1000, seed=1))
+    assert threading.active_count() == before and not _helpers()
+
+
+def test_no_helper_remains_after_a_return_or_a_failure(monkeypatch):
+    monkeypatch.setattr(mc, "CHUNK", 100)
+    before = threading.active_count()
+    mc_propagate(parse_expr("ln(x)"), {"x": UncertainScalar(3, 0.9)}, McConfig(samples=1000, seed=1))
+    with pytest.raises(NonFiniteSamples):
+        mc_propagate(parse_expr("sqrt(x)"), {"x": UncertainScalar(0, 1)},
+                     McConfig(samples=1000, seed=1))
+    assert threading.active_count() == before and not _helpers()

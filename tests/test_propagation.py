@@ -24,7 +24,8 @@ from errprop import (
     value_range,
     weighted_mean,
 )
-from errprop.core import UncertainVector
+from errprop import propagation
+from errprop.core import UncertainScalar, UncertainVector
 from errprop.exceptions import (
     DimensionMismatch,
     LengthMismatch,
@@ -481,3 +482,34 @@ def test_kernels_allocate_their_outputs_and_little_else():
     y = make_uncertain(np.linspace(2.0, 3.0, n), 0.2)
     assert _peak(lambda: propagate_unary("sin", x)) <= 2.5 * 8 * n
     assert _peak(lambda: propagate_binary("mul", x, y)) <= 3.5 * 8 * n
+
+
+class _CountingNumpy:
+    """numpy, but each call of one of its functions is counted."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def test_scalar_square_makes_no_extra_numpy_call(monkeypatch):
+    # an exact 2 is found before any repeat: no exponent array is built or
+    # read; the count before the x^2 rule was 8 (two counts, the pow rule's
+    # value, then subtract, power, multiply, abs and isnan)
+    counting = _CountingNumpy()
+    f, dfdx, dfdy = BINARY_RULES["pow"]
+    monkeypatch.setattr(propagation, "np", counting)
+    monkeypatch.setitem(BINARY_RULES, "pow",
+                        (lambda x, y: counting.calls.append("pow") or f(x, y), dfdx, dfdy))
+    UncertainScalar(3.0, 0.1) ** 2
+    assert len(counting.calls) <= 8

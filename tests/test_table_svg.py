@@ -123,6 +123,8 @@ _specs = (st.tuples(_blanks | _pieces, st.sampled_from(["mean", "median", "sum",
 @example(" median(a b )  ")
 def test_summary_reader_matches_reference(spec):
     m = _SUMMARY_REFERENCE.match(spec)
+    if m and not m["col"].strip():
+        m = None  # a blank column is a bad summary, not the column ' '
     try:
         got = table._read_summary(spec)
     except ErrpropError as exc:
