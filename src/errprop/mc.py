@@ -3,26 +3,26 @@
 Inputs are modeled as independent normals N(value, error^2), each drawn
 from its own stream, spawned from numpy's default PCG64 generator, pushed
 through the expression a chunk of CHUNK draws at a time and summarized.
-A drawer thread draws chunk k + 1 while the calling thread evaluates
-chunk k (see _drawn_ahead); each stream is drawn by one thread, so given
-the same (expr, env, config) the result is bitwise that of drawing
-everything at once, whatever CHUNK is.  After the last chunk the moments,
-and then the order statistics, are taken on two threads, one half of the
-outputs each (see _on_both_threads); the halves are numpy's own pairwise
-subtrees, so the sums keep numpy's bits, and the quantiles are read off
-the two sorted halves.  Memory holds the finite outputs, 8 bytes per
-draw, and a fixed amount for two chunks; draws with both zeros, or whose
-sums overflow near the float limit, take more.  A run that fails on its
-non-finite outputs may have drawn one chunk that it never evaluates.  Used to cross-check the first-order Taylor
-approximation, which degrades when the relative errors are large and the
-expression is strongly nonlinear.
+Each call runs one helper thread (see _helper): it draws chunk k + 1
+while the calling thread evaluates chunk k, and after the last chunk the
+two threads take the moments, and then the order statistics, on one half
+of the outputs each.  Each stream is drawn by one thread, and the halves
+are numpy's own pairwise subtrees, so given the same (expr, env, config)
+the result is bitwise that of numpy calls on everything drawn at once,
+whatever CHUNK is; the quantiles are read off the two sorted halves.
+Memory holds the finite outputs, 8 bytes per draw, and a fixed amount
+for two chunks; draws with both zeros, or whose sums overflow near the
+float limit, take more.  A run that fails on its non-finite outputs may
+have drawn one chunk that it never evaluates.  Used to cross-check the
+first-order Taylor approximation, which degrades when the relative
+errors are large and the expression is strongly nonlinear.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from contextlib import closing
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +38,9 @@ MAD_SCALE = 1.4826
 # above this fraction of non-finite evaluations the run is rejected
 NONFINITE_LIMIT = 0.01
 
-# draws per variable sampled, handed over by the drawer thread (see
-# _drawn_ahead) and evaluated at once: the results are the same bits
-# whatever it is, and two chunks are the fixed part of the memory
+# draws per variable sampled, handed over at the helper's barrier (see
+# _helper) and evaluated at once: the results are the same bits whatever
+# it is, and two chunks are the fixed part of the memory
 CHUNK = 2**15
 
 # order statistics need every output, so a run holds about 8 bytes per
@@ -113,72 +113,94 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
     exact = {name: s.value for name, s in zip(names, inputs) if not s.error}
     drawn = [(name, rng, s.value, s.error)
              for name, s, rng in zip(names, inputs, streams) if s.error]
-    # the drawer takes every uncertain variable but the last, or the only
-    # one; the calling thread draws the last, so that the two threads'
-    # shares of a chunk are about even
+    # the helper draws every uncertain variable but the last, or the only
+    # one, a chunk ahead; the calling thread draws the last, so that the
+    # two threads' shares of a chunk are about even
     split = max(1, len(drawn) - 1)
+    ahead, own = drawn[:split], drawn[split:]
     starts = range(0, cfg.samples, CHUNK)
     sizes = [min(CHUNK, cfg.samples - start) for start in starts]
-    out = np.empty(cfg.samples)
-    kept = 0  # the finite outputs, in draw order, fill out[:kept]
-    with closing(_drawn_ahead(drawn[:split], drawn[split:], sizes)) as chunks:
-        for start, m, draws in zip(starts, sizes, chunks):
-            chunk = np.broadcast_to(eval_numeric(expr, exact | draws), m)  # a constant broadcasts
-            finite = np.isfinite(chunk)
-            k = int(np.count_nonzero(finite))
-            out[kept:kept + k] = chunk if k == m else chunk[finite]
-            kept += k
-            n_bad = start + m - kept
-            if n_bad > NONFINITE_LIMIT * cfg.samples:
-                raise NonFiniteSamples(f"{n_bad} non-finite evaluations in the first "
-                                       f"{start + m} of {cfg.samples}")
-    out = out[:kept]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = _rescaled(_moments, out)
-        med, mad, *quantiles = _rescaled(lambda o: _order_stats(o, cfg.quantiles), out)
-    return McResult(mean=mean, sd=sd, median=med, mad=mad,
-                    quantile_values=tuple(quantiles), n_nonfinite=n_bad)
-
-
-def _drawn_ahead(ahead: list, own: list, sizes: list[int]):
-    """For each chunk length m in sizes, yield a dict of the next m draws of
-    each (name, rng, value, error) in ahead and in own.  A thread draws
-    ahead's one chunk ahead into two sets of buffers, taken in turn; the
-    calling thread draws own's just before it waits for that chunk.  Every
-    buffer is allocated here, on the calling thread.  The threads meet at
-    a barrier once per chunk k, after which the drawer fills chunk k + 1
-    into the set of chunk k - 1, which the caller is done with.  Closing
-    the generator aborts the barrier and joins the thread, which may have
-    drawn one chunk more.
-    """
+    # every buffer is allocated here: two sets for ahead's, taken in turn
     slots = [{name: np.empty(sizes[0]) for name, *_ in ahead} for _ in range(2)]
     mine = {name: np.empty(sizes[0]) for name, *_ in own}
-    handoff, failure = threading.Barrier(2), []
+    out = np.empty(cfg.samples)
 
-    def draw():
+    def draw(i, meet) -> int:
+        """The helper (i = 1) fills chunk k of ahead's into slots[k % 2] and
+        meets the caller, which has drawn own's chunk k; then it fills
+        chunk k + 1 into the set of chunk k - 1 while the caller evaluates
+        chunk k and keeps its finite outputs.  Returns how many it kept."""
+        kept = 0  # the finite outputs, in draw order, fill out[:kept]
+        for k, (start, m) in enumerate(zip(starts, sizes)):
+            share, bufs = (ahead, slots[k % 2]) if i else (own, mine)
+            draws = {name: _fill(rng, value, error, bufs[name][:m])
+                     for name, rng, value, error in share}
+            meet()
+            if i:
+                continue
+            draws = {name: buf[:m] for name, buf in slots[k % 2].items()} | draws
+            chunk = np.broadcast_to(eval_numeric(expr, exact | draws), m)  # a constant broadcasts
+            finite = np.isfinite(chunk)
+            n = int(np.count_nonzero(finite))
+            out[kept:kept + n] = chunk if n == m else chunk[finite]
+            kept += n
+            if start + m - kept > NONFINITE_LIMIT * cfg.samples:
+                raise NonFiniteSamples(f"{start + m - kept} non-finite evaluations in the "
+                                       f"first {start + m} of {cfg.samples}")
+        return kept
+
+    # the helper's error state is the caller's on entry (see _helper)
+    with np.errstate(over="ignore", invalid="ignore"), _helper() as both:
+        kept = both(draw)[0]
+        out = out[:kept]
+        mean, sd = _rescaled(lambda o: _moments(o, both), out)
+        med, mad, *quantiles = _rescaled(lambda o: _order_stats(o, cfg.quantiles, both), out)
+    return McResult(mean=mean, sd=sd, median=med, mad=mad,
+                    quantile_values=tuple(quantiles), n_nonfinite=cfg.samples - kept)
+
+
+@contextmanager
+def _helper():
+    """Yield both(work), which returns [work(0, meet), work(1, meet)]: the
+    first runs on the calling thread, the second on one helper thread
+    that lives as long as the with block, under the numpy error state
+    that the caller had on entry; meet() waits for the other.  The two
+    meet at one barrier: to hand over the work, at each meet() and once
+    both are done.  Leaving the block aborts the barrier and joins the
+    helper, on every path, and an error in the helper is raised in the
+    caller.  Buffers are the caller's to allocate."""
+    meet, state, failure, theirs = threading.Barrier(2), np.geterr(), [], [None]
+
+    def serve():
         try:
-            for k, m in enumerate(sizes):
-                for name, rng, value, error in ahead:
-                    _fill(rng, value, error, slots[k % 2][name][:m])
-                handoff.wait()
+            with np.errstate(**state):  # numpy's error state is per thread
+                while True:
+                    meet.wait()  # for work, or for the abort that ends the helper
+                    theirs[0] = theirs[0](1, meet.wait)  # the work, then its result
+                    # written before the last meet: the caller, done, may
+                    # abort while this thread is still in that wait()
+                    meet.wait()
         except threading.BrokenBarrierError:  # the caller stopped
             return
-        except BaseException as exc:  # handed to the caller, which would wait forever
+        except BaseException as exc:  # handed to the caller, which may be waiting
             failure.append(exc)
-            handoff.abort()
+            meet.abort()
 
-    thread = threading.Thread(target=draw, name="errprop-mc-drawer", daemon=True)
+    def both(work) -> list:
+        theirs[0] = work
+        meet.wait()
+        mine = work(0, meet.wait)
+        meet.wait()
+        return [mine, theirs[0]]
+
+    thread = threading.Thread(target=serve, name="errprop-mc-helper", daemon=True)
     thread.start()
     try:
-        for k, m in enumerate(sizes):
-            draws = {name: _fill(rng, value, error, mine[name][:m])
-                     for name, rng, value, error in own}
-            handoff.wait()
-            yield {name: buf[:m] for name, buf in slots[k % 2].items()} | draws
-    except threading.BrokenBarrierError:  # only the drawer aborts while the caller waits
+        yield both
+    except threading.BrokenBarrierError:  # only the helper aborts while the caller waits
         raise failure[0] from None
     finally:
-        handoff.abort()
+        meet.abort()
         thread.join()
 
 
@@ -215,43 +237,6 @@ def _halves(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:h], out[h:]
 
 
-def _on_both_threads(work) -> list:
-    """[work(0, meet), work(1, meet)], the first on the calling thread and
-    the second on a short-lived helper thread, with the caller's numpy
-    error state; meet() waits for the other.  The helper is joined on
-    every path, and an error in it is raised here.  Buffers are the
-    caller's to allocate, before this."""
-    results, failure = [None, None], []
-    meet, state = threading.Barrier(2), np.geterr()
-
-    def helper():
-        try:
-            with np.errstate(**state):  # numpy's error state is per thread
-                results[1] = work(1, meet.wait)
-        except threading.BrokenBarrierError:  # the caller stopped
-            return
-        except BaseException as exc:  # handed to the caller, which may be waiting
-            failure.append(exc)
-            meet.abort()
-
-    thread = threading.Thread(target=helper, name="errprop-mc-helper", daemon=True)
-    thread.start()
-    try:
-        results[0] = work(0, meet.wait)
-    except threading.BrokenBarrierError:  # only the helper aborts while the caller waits
-        raise failure[0] from None
-    except BaseException:
-        # not on a return: a thread that has passed the barrier but not yet
-        # left wait() would take the abort for its own
-        meet.abort()
-        raise
-    finally:
-        thread.join()
-    if failure:  # the helper failed after its last wait
-        raise failure[0]
-    return results
-
-
 def _mean(o: np.ndarray) -> float:
     """np.mean(o), but summed from -0.0, the additive identity, where numpy
     starts from 0.0: draws that are all -0.0 have the mean -0.0.  Any
@@ -266,19 +251,11 @@ def _block() -> int:
     return max(CHUNK, PAIRWISE_BLOCK)
 
 
-def _sd(o: np.ndarray) -> float:
-    """float(np.std(o, ddof=1)), bit for bit, with no temporary as long
-    as o: the squared deviations from np.std's mean are summed along
-    numpy's own pairwise tree (see _deviation_sum)."""
-    m = np.add.reduce(o) / o.size  # summed from 0.0, as np.std's mean is
-    return math.sqrt(_deviation_sum(o, m, np.empty(min(o.size, _block()))) / (o.size - 1))
-
-
-def _moments(out: np.ndarray) -> list[float]:
-    """[_mean(out), _sd(out)], bit for bit, each of out's _halves summed on
-    its own thread and, once both sums are in, its squared deviations: the
-    sum of the two sums is numpy's, from -0.0, and that of the two
-    deviation sums is _sd's."""
+def _moments(out: np.ndarray, both) -> list[float]:
+    """[_mean(out), float(np.std(out, ddof=1))], bit for bit, each of out's
+    _halves summed on a thread of both (see _helper) and, once both sums
+    are in, its squared deviations: the sum of the two sums is numpy's,
+    from -0.0, and the deviation sums are its subtrees (see _deviation_sum)."""
     halves = _halves(out)
     bufs = [np.empty(min(half.size, _block())) for half in halves]
     sums = [None, None]
@@ -289,7 +266,7 @@ def _moments(out: np.ndarray) -> list[float]:
         m = (0.0 + (sums[0] + sums[1])) / out.size  # np.std's mean, summed from 0.0
         return _deviation_sum(halves[i], m, bufs[i])
 
-    left, right = _on_both_threads(work)
+    left, right = both(work)
     return [float((sums[0] + sums[1]) / out.size), math.sqrt((left + right) / (out.size - 1))]
 
 
@@ -325,15 +302,10 @@ def _zero_signs(out: np.ndarray) -> tuple[bool, bool]:
     return negative, positive
 
 
-def _both_zeros(out: np.ndarray) -> bool:
-    """Whether out holds both -0.0 and 0.0."""
-    return all(_zero_signs(out))
-
-
-def _order_stats(out: np.ndarray, quantiles: tuple) -> list[float]:
+def _order_stats(out: np.ndarray, quantiles: tuple, both) -> list[float]:
     """Median, MAD and quantiles of finite draws, in that order, read off
     out's _halves, each looked over for zeros and then sorted in place on
-    its own thread.
+    its own thread of both (see _helper).
 
     The results are bitwise those of m = float(np.median(out)),
     MAD_SCALE * np.median(np.abs(out - m)) and np.quantile(out,
@@ -352,7 +324,7 @@ def _order_stats(out: np.ndarray, quantiles: tuple) -> list[float]:
         if not both_zeros():
             halves[i].sort()
 
-    _on_both_threads(work)
+    both(work)
     if both_zeros():
         # -0.0 == 0.0: which zero numpy's selection puts at a rank is its
         # own detail, and its sort may even turn one zero into the other,

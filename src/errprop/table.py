@@ -18,8 +18,8 @@ import numpy as np
 from .core import UncertainScalar, UncertainVector, as_uncertain, make_uncertain, subset
 from .exceptions import ErrpropError, ParseError, UnboundVariable
 from .expr import parse_expr, eval_uncertain
-# parse_value stays a name here, where perfbench/spans.py traces it,
-# though read_csv reads every column through parse_column
+# read_csv reads every column through parse_column; parse_value reads
+# one cell at a time, where _first_bad_cell names a column's bad cell
 from .formatting import (Notation, _bare_column, format_column, parse_column, parse_number,
                          parse_value)
 from . import summaries

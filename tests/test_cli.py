@@ -415,7 +415,7 @@ def test_mc_draws_near_the_float_limit(capsys):
 
 
 def test_mc_draws_past_the_float_limit_is_exit_2(capsys):
-    # x + 1e307 * z overflows on 153 of these draws; the drawer thread
+    # x + 1e307 * z overflows on 153 of these draws; the helper thread
     # that draws them leaks no overflow warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -81,3 +81,37 @@ def test_cli_import_loads_no_concurrent_futures():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def _references(tree) -> list[tuple[str, set[int]]]:
+    """Each name a module refers to, by a name, an attribute or a string
+    constant such as an __all__ entry, with the ids of the function and
+    class definitions it lies inside."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.Name):
+            found.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, inside))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append((node.value, inside))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {id(node)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_function_and_class_has_a_caller_in_the_package():
+    # code that only tests call belongs in the tests
+    references = [ref for tree in MODULES.values() for ref in _references(tree)]
+    unused = [f"{module}.{node.name}" for module, tree in MODULES.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and not any(name == node.name and id(node) not in inside
+                          for name, inside in references)]
+    assert unused == []

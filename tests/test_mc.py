@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -14,7 +15,32 @@ from errprop import McConfig, compare_tsm_mcm, eval_numeric, mc, mc_propagate, p
 from errprop.core import UncertainScalar
 from errprop.exceptions import NonFiniteSamples, UnboundVariable
 from errprop.expr import free_variables
-from errprop.mc import CHUNK, MAD_SCALE, MAX_SAMPLES, _fill, _mean, _order_stats, _sd
+from errprop.mc import CHUNK, MAD_SCALE, MAX_SAMPLES, _fill, _mean
+
+
+def _order_stats(out, quantiles):
+    """mc._order_stats on a helper thread of its own."""
+    with mc._helper() as both:
+        return mc._order_stats(out, quantiles, both)
+
+
+def _moments(out):
+    """mc._moments on a helper thread of its own."""
+    with mc._helper() as both:
+        return mc._moments(out, both)
+
+
+def _sd(o):
+    """float(np.std(o, ddof=1)), bit for bit, with no temporary as long
+    as o: the squared deviations from np.std's mean are summed along
+    numpy's own pairwise tree (see mc._deviation_sum)."""
+    m = np.add.reduce(o) / o.size  # summed from 0.0, as np.std's mean is
+    return math.sqrt(mc._deviation_sum(o, m, np.empty(min(o.size, mc._block()))) / (o.size - 1))
+
+
+def _both_zeros(out):
+    """Whether out holds both -0.0 and 0.0, as mc._zero_signs reads it."""
+    return all(mc._zero_signs(out))
 
 
 def xy_env():
@@ -281,8 +307,8 @@ def test_mc_propagate_does_not_depend_on_chunk(monkeypatch, expr, env, n, chunk)
     monkeypatch.setattr(mc, "CHUNK", chunk(n))
     # the finite outputs, in draw order, as the order statistics receive them
     outputs, order_stats = [], mc._order_stats
-    monkeypatch.setattr(mc, "_order_stats",
-                        lambda out, qs: outputs.append(out.copy()) or order_stats(out, qs))
+    monkeypatch.setattr(mc, "_order_stats", lambda out, qs, both:
+                        outputs.append(out.copy()) or order_stats(out, qs, both))
     cfg = McConfig(samples=n, seed=9, quantiles=QUANTILES)
     got = _got(mc_propagate(parse_expr(expr), env, cfg))
     want_outputs, want = _reference(parse_expr(expr), env, cfg)
@@ -319,8 +345,8 @@ def _ln_env():
 
 
 @pytest.mark.parametrize("expr, env", [
-    ("x", {"x": UncertainScalar(0, 1)}),  # the drawer draws the only variable
-    ("ln(x) + y*z", _ln_env()),  # the drawer draws x and y, the caller z
+    ("x", {"x": UncertainScalar(0, 1)}),  # the helper draws the only variable
+    ("ln(x) + y*z", _ln_env()),  # the helper draws x and y, the caller z
     ("2", {}),  # nothing is drawn
     ("sqrt(x) + y*z", {**_ln_env(), "x": UncertainScalar(0, 1)}),  # NonFiniteSamples
 ])
@@ -340,7 +366,7 @@ def test_failing_run_draws_at_most_one_chunk_it_does_not_evaluate(monkeypatch):
     fills, evaluations, fill = [], [], mc._fill
     monkeypatch.setattr(mc, "_fill", lambda *args: fills.append(1) or fill(*args))
 
-    def evaluate(ast, env):  # slow, so that the drawer runs as far ahead as it may
+    def evaluate(ast, env):  # slow, so that the helper runs as far ahead as it may
         evaluations.append(1)
         time.sleep(0.005)
         return eval_numeric(ast, env)
@@ -353,7 +379,7 @@ def test_failing_run_draws_at_most_one_chunk_it_does_not_evaluate(monkeypatch):
 
 
 def test_drawer_failure_reaches_the_caller(monkeypatch):
-    # with one uncertain variable the drawer draws it: its error is raised
+    # with one uncertain variable the helper draws it: its error is raised
     # by mc_propagate, which waits for no chunk that will not come
     class DrawFailed(Exception):
         pass
@@ -476,14 +502,14 @@ def test_order_stats_finds_both_zeros_in_different_chunks(monkeypatch, chunk, se
     first, later = (0.0, -0.0) if seed % 2 else (-0.0, 0.0)
     out[out == 0] = later
     out[:block][out[:block] == 0] = first
-    assert mc._both_zeros(out) and not mc._both_zeros(np.abs(out))
+    assert _both_zeros(out) and not _both_zeros(np.abs(out))
     got = _order_stats(out.copy(), QUANTILES)
     assert _bits(*got) == _bits(*_reference_order_stats(out, QUANTILES))
 
 
 # draws that hold no two zeros of opposite sign, as the sorted path gets them
 _ONE_ZERO_LISTS = st.lists(st.sampled_from(_POOL) | st.floats(allow_nan=False, allow_infinity=False),
-                           min_size=1, max_size=60).filter(lambda v: not mc._both_zeros(np.array(v)))
+                           min_size=1, max_size=60).filter(lambda v: not _both_zeros(np.array(v)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -526,9 +552,9 @@ def test_moments_on_two_threads_are_mean_and_sd(n):
     for scale in (1.0, -3.7, 1e-300, 1e200):
         o = (rng.standard_normal(n) + rng.standard_normal()) * scale
         with np.errstate(all="ignore"):
-            assert _bits(*mc._moments(o)) == _bits(_mean(o), _sd(o))
+            assert _bits(*_moments(o)) == _bits(_mean(o), _sd(o))
     zeros = -np.zeros(n)  # all -0.0: the mean is -0.0
-    assert _bits(*mc._moments(zeros)) == _bits(_mean(zeros), _sd(zeros))
+    assert _bits(*_moments(zeros)) == _bits(_mean(zeros), _sd(zeros))
 
 
 def _helpers():
@@ -563,4 +589,49 @@ def test_no_helper_remains_after_a_return_or_a_failure(monkeypatch):
     with pytest.raises(NonFiniteSamples):
         mc_propagate(parse_expr("sqrt(x)"), {"x": UncertainScalar(0, 1)},
                      McConfig(samples=1000, seed=1))
+    assert threading.active_count() == before and not _helpers()
+
+
+@pytest.mark.parametrize("expr, env", [
+    ("sin(x)/y + ln(z)^2", _ln_env()),
+    ("x", {"x": UncertainScalar(1.7e308, 1e300)}),  # statistics taken again, rescaled
+    ("2", {}),  # nothing is drawn
+    ("sqrt(x)", {"x": UncertainScalar(0, 1)}),  # NonFiniteSamples
+])
+def test_mc_propagate_starts_one_thread(monkeypatch, expr, env):
+    # the draws, the moments and the sort, twice on the rescaled path,
+    # all run on one helper
+    starts = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            starts.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(mc.threading, "Thread", CountingThread)
+    run = lambda: mc_propagate(parse_expr(expr), env, McConfig(samples=100_000, seed=3))
+    if expr.startswith("sqrt"):
+        pytest.raises(NonFiniteSamples, run)
+    else:
+        run()
+    assert starts == ["errprop-mc-helper"]
+
+
+def test_stopping_the_helper_after_a_return_keeps_its_results(monkeypatch):
+    # the caller aborts the barrier once its last meet has passed, which
+    # the helper may not have left yet; short switch intervals and chunks
+    # make that abort land at every point of the helper's last wait
+    monkeypatch.setattr(mc, "CHUNK", 7)
+    cases = [("x*k", {"x": UncertainScalar(0, 1), "k": 0}),  # both zeros
+             ("sin(x)/y + z^2", _ln_env()), ("x", {"x": UncertainScalar(1, 1)})]
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for call in range(200):
+            expr, env = cases[call % len(cases)]
+            cfg = McConfig(samples=2 + call * 3 // 2, seed=call, quantiles=QUANTILES)
+            got = _got(mc_propagate(parse_expr(expr), env, cfg))
+            assert got == _reference(parse_expr(expr), env, cfg)[1], (expr, cfg)
+    finally:
+        sys.setswitchinterval(interval)
     assert threading.active_count() == before and not _helpers()
