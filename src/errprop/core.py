@@ -13,7 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import IndexOutOfBounds, LengthMismatch, NegativeError
+from .exceptions import (DimensionMismatch, IndexOutOfBounds, LengthMismatch,
+                         NegativeError)
 
 __all__ = [
     "UncertainVector",
@@ -31,6 +32,8 @@ def _frozen(a) -> np.ndarray:
     # a read-only view: a caller's own float64 array stays writable, and
     # shares its memory with the vector
     a = np.atleast_1d(np.asarray(a, dtype=float)).view()
+    if a.ndim != 1:
+        raise DimensionMismatch(f"values and errors must be 1-d, not of shape {a.shape}")
     a.setflags(write=False)
     return a
 
@@ -159,11 +162,11 @@ def as_uncertain(x) -> UncertainVector:
 def make_uncertain(values: Sequence[float], errors) -> UncertainVector:
     """Build an UncertainVector; a single error value is broadcast to all elements.
 
-    Raises NegativeError for an uncertainty `_legal` rejects and LengthMismatch
-    when 1 < len(errors) != len(values).  Broadcasting is scalar-to-vector only.
+    Raises NegativeError for an uncertainty `_legal` rejects, LengthMismatch
+    when 1 < len(errors) != len(values), and DimensionMismatch for input
+    that is not 1-d.  Broadcasting is scalar-to-vector only.
     """
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    errors = np.atleast_1d(np.asarray(errors, dtype=float))
+    values, errors = _frozen(values), _frozen(errors)
     if len(errors) == 1 and len(values) != 1:
         errors = np.repeat(errors, len(values))
     return UncertainVector(values, errors)
@@ -193,9 +196,13 @@ def subset(x: UncertainVector, indices) -> UncertainVector:
     if isinstance(indices, slice):
         return UncertainVector._unchecked(x.values[indices], x.errors[indices])
     idx = np.atleast_1d(np.asarray(indices))
+    if idx.ndim != 1:
+        raise IndexOutOfBounds(f"indices must be 1-d, not of shape {idx.shape}")
     if idx.dtype == bool:
         if len(idx) != len(x):
             raise IndexOutOfBounds("boolean mask length mismatch")
+    elif idx.dtype.kind not in "iu" and len(idx):  # [] is float64
+        raise IndexOutOfBounds(f"indices must be integers or booleans, not {idx.dtype}")
     else:
         idx = idx.astype(int)
         n = len(x)

@@ -34,11 +34,6 @@ __all__ = [
 ]
 
 
-def _d_abs(x):
-    # subgradient midpoint at 0: derivative defined as 0
-    return np.sign(x)
-
-
 # Slopes of +-1.  Their term |+-1| * err is the error itself, so
 # propagation recognises them by identity (_UNIT_SLOPES) and calls none.
 
@@ -61,65 +56,6 @@ def _minus_one_y(x, y):
 _UNIT_SLOPES = frozenset({_minus_one, _one_x, _one_y, _minus_one_y})
 
 
-# The derivatives that chain operations compute into the buffer of their
-# first step, with the operations of the textbook formula in its order;
-# a**2 is np.square(a) and (-a)/b is -(a/b), bit for bit.  The rules also
-# take numpy scalars (a Jacobian's entries), which have no buffer.
-
-def _buffer(t):
-    return t if isinstance(t, np.ndarray) else None
-
-
-def _d_sqrt(x):
-    t = np.sqrt(x)
-    return np.divide(0.5, t, out=_buffer(t))
-
-
-def _d_log(x, base):
-    t = np.multiply(x, np.log(base))
-    return np.divide(1.0, t, out=_buffer(t))
-
-
-def _d_cos(x):
-    t = np.sin(x)
-    return np.negative(t, out=_buffer(t))
-
-
-def _inverse_square(t):
-    out = _buffer(t)
-    t = np.square(t, out=out)
-    return np.divide(1.0, t, out=out)
-
-
-def _over_sqrt_one_minus_square(numerator, x):
-    t = np.multiply(x, x)
-    out = _buffer(t)
-    t = np.subtract(1.0, t, out=out)
-    t = np.sqrt(t, out=out)
-    return np.divide(numerator, t, out=out)
-
-
-def _d_atan(x):
-    t = np.multiply(x, x)
-    out = _buffer(t)
-    t = np.add(1.0, t, out=out)
-    return np.divide(1.0, t, out=out)
-
-
-def _d_div_y(x, y):
-    t = np.multiply(y, y)
-    out = _buffer(t)
-    t = np.divide(x, t, out=out)
-    return np.negative(t, out=out)
-
-
-def _d_pow_base(x, y):
-    t = np.subtract(y, 1.0)
-    out = _buffer(t)
-    t = np.power(x, t, out=out)
-    return np.multiply(y, t, out=out)
-
-
 def _power(x, y):
     """np.power(x, y) for operands of one length, but np.square(x) wherever
     y is exactly 2: there numpy's pow is not correctly rounded, and each
@@ -134,41 +70,27 @@ def _d_square(x):
     return np.multiply(x, 2.0)
 
 
-def _d_pow_exp(x, y):
-    t = np.log(x)
-    t *= np.power(x, y)
-    return t
-
-
-def _over_sum_of_squares(numerator, y, x):
-    t = np.multiply(x, x)
-    t += np.multiply(y, y)
-    return np.divide(numerator, t, out=_buffer(t))
-
-
-def _d_atan2_x(y, x):
-    t = _over_sum_of_squares(y, y, x)
-    return np.negative(t, out=_buffer(t))
-
+# The rules are the textbook formulas, in the order that gives these bits.
 
 # identifier -> (value function, derivative function)
 UNARY_RULES = {
     "neg": (np.negative, _minus_one),
-    "abs": (np.abs, _d_abs),
-    "sqrt": (np.sqrt, _d_sqrt),
+    # subgradient midpoint at 0: derivative defined as 0
+    "abs": (np.abs, np.sign),
+    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x)),
     "exp": (np.exp, np.exp),
     "ln": (np.log, lambda x: 1.0 / x),
-    "log2": (np.log2, lambda x: _d_log(x, 2.0)),
-    "log10": (np.log10, lambda x: _d_log(x, 10.0)),
+    "log2": (np.log2, lambda x: 1.0 / (x * np.log(2.0))),
+    "log10": (np.log10, lambda x: 1.0 / (x * np.log(10.0))),
     "sin": (np.sin, np.cos),
-    "cos": (np.cos, _d_cos),
-    "tan": (np.tan, lambda x: _inverse_square(np.cos(x))),
-    "asin": (np.arcsin, lambda x: _over_sqrt_one_minus_square(1.0, x)),
-    "acos": (np.arccos, lambda x: _over_sqrt_one_minus_square(-1.0, x)),
-    "atan": (np.arctan, _d_atan),
+    "cos": (np.cos, lambda x: -np.sin(x)),
+    "tan": (np.tan, lambda x: 1.0 / np.square(np.cos(x))),
+    "asin": (np.arcsin, lambda x: 1.0 / np.sqrt(1.0 - x * x)),
+    "acos": (np.arccos, lambda x: -1.0 / np.sqrt(1.0 - x * x)),
+    "atan": (np.arctan, lambda x: 1.0 / (1.0 + x * x)),
     "sinh": (np.sinh, np.cosh),
     "cosh": (np.cosh, np.sinh),
-    "tanh": (np.tanh, lambda x: _inverse_square(np.cosh(x))),
+    "tanh": (np.tanh, lambda x: 1.0 / np.square(np.cosh(x))),
 }
 
 # identifier -> (value function, d/dx, d/dy).  atan2 takes (y, x) order.
@@ -176,9 +98,11 @@ BINARY_RULES = {
     "add": (np.add, _one_x, _one_y),
     "sub": (np.subtract, _one_x, _minus_one_y),
     "mul": (np.multiply, lambda x, y: y, lambda x, y: x),
-    "div": (np.divide, lambda x, y: 1.0 / y, _d_div_y),
-    "pow": (_power, _d_pow_base, _d_pow_exp),
-    "atan2": (np.arctan2, lambda y, x: _over_sum_of_squares(x, y, x), _d_atan2_x),
+    "div": (np.divide, lambda x, y: 1.0 / y, lambda x, y: -(x / (y * y))),
+    "pow": (_power, lambda x, y: y * np.power(x, y - 1.0),
+            lambda x, y: np.log(x) * np.power(x, y)),
+    "atan2": (np.arctan2, lambda y, x: x / (x * x + y * y),
+              lambda y, x: -(y / (x * x + y * y))),
 }
 
 # propagation rule -> operator method names, installed on UncertainVector

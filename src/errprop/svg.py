@@ -47,6 +47,15 @@ class _Axis:
         return (self.pix_lo + f * (self.pix_hi - self.pix_lo)).tolist()
 
 
+def _finite_range(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+    """The least and the greatest finite bar end, so that one NaN or
+    infinite row moves no other point; (inf, -inf), which _Axis draws as
+    [0, 1], when no end is finite."""
+    ends = np.concatenate((lo, hi))
+    ends = ends[np.isfinite(ends)]
+    return float(np.min(ends, initial=np.inf)), float(np.max(ends, initial=-np.inf))
+
+
 # characters XML 1.0 forbids: C0 controls other than tab, LF and CR, lone
 # surrogates, U+FFFE and U+FFFF (compiled at first use, by re's cache)
 _NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
@@ -84,17 +93,9 @@ def scatter_svg(
     with np.errstate(all="ignore"):
         xmin, xmax = errors_min(x), errors_max(x)
         ymin, ymax = errors_min(y), errors_max(y)
-        xaxis = _Axis(
-            float(np.min(xmin)) if n else 0.0,
-            float(np.max(xmax)) if n else 1.0,
-            mx, WIDTH - mx,
-        )
+        xaxis = _Axis(*_finite_range(xmin, xmax), mx, WIDTH - mx)
         # SVG y grows downward
-        yaxis = _Axis(
-            float(np.min(ymin)) if n else 0.0,
-            float(np.max(ymax)) if n else 1.0,
-            HEIGHT - my, my,
-        )
+        yaxis = _Axis(*_finite_range(ymin, ymax), HEIGHT - my, my)
         cx, cy = xaxis(x.values), yaxis(y.values)
         x0, x1, y0, y1 = xaxis(xmin), xaxis(xmax), yaxis(ymin), yaxis(ymax)
 

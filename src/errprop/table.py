@@ -28,9 +28,8 @@ __all__ = ["Table", "read_csv", "attach_errors", "derive_column", "summarize"]
 
 @dataclass
 class Table:
-    """Ordered named columns of equal length."""
+    """Named columns of equal length, in the key order of `columns`."""
 
-    names: list[str] = field(default_factory=list)
     columns: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -39,26 +38,26 @@ class Table:
             raise ErrpropError(f"ragged columns: lengths {sorted(lengths)}")
 
     @property
+    def names(self) -> list[str]:
+        return list(self.columns)
+
+    @property
     def nrows(self) -> int:
-        if not self.names:
-            return 0
-        return len(self.columns[self.names[0]])
+        return len(next(iter(self.columns.values()), ()))
 
     def add(self, name: str, column):
         if name in self.columns:
             raise ErrpropError(f"duplicate column {name!r}")
-        if self.names and len(column) != self.nrows:
+        if self.columns and len(column) != self.nrows:
             raise ErrpropError(
                 f"column {name!r} has {len(column)} rows, table has {self.nrows}"
             )
-        self.names.append(name)
         self.columns[name] = column
 
     def formatted(self, notation: Notation) -> list[list[str]]:
         """All cells as strings, uncertain columns rendered per notation."""
         cols = []
-        for name in self.names:
-            col = self.columns[name]
+        for col in self.columns.values():
             if isinstance(col, UncertainVector):
                 cols.append(format_column(col, notation))
             elif isinstance(col, np.ndarray):

@@ -15,7 +15,12 @@ from errprop import (
     subset,
 )
 from errprop.core import UncertainScalar, UncertainVector
-from errprop.exceptions import IndexOutOfBounds, LengthMismatch, NegativeError
+from errprop.exceptions import (
+    DimensionMismatch,
+    IndexOutOfBounds,
+    LengthMismatch,
+    NegativeError,
+)
 from errprop.expr import eval_uncertain, parse_expr
 from errprop.propagation import _OPERATORS, propagate_binary, propagate_unary
 
@@ -132,6 +137,26 @@ def test_subset_out_of_bounds():
         subset(x, [2])
     with pytest.raises(IndexOutOfBounds):
         x[2]
+
+
+def test_subset_refuses_indices_that_are_not_integers():
+    x = make_uncertain([5, 1, 3], 0.01)
+    for bad in ([1.7], [1.0], ["1"], [[0, 1]]):
+        with pytest.raises(IndexOutOfBounds):
+            subset(x, bad)
+    with pytest.raises(IndexError):
+        x[1.9]
+    assert subset(x, []) == make_uncertain([], [])
+    assert subset(x, [True, False, True]) == make_uncertain([5, 3], 0.01)
+
+
+def test_vectors_are_one_dimensional():
+    with pytest.raises(DimensionMismatch):
+        make_uncertain([[1, 2], [3, 4]], 0.1)
+    with pytest.raises(DimensionMismatch):
+        make_uncertain([1, 2], [[0.1]])
+    with pytest.raises(DimensionMismatch):
+        make_uncertain([1, 2], 0.1) + np.ones((2, 2))
 
 
 def test_subset_concat_identity():

@@ -84,13 +84,13 @@ def test_cli_import_loads_no_concurrent_futures():
 
 
 def _references(tree) -> list[tuple[str, set[int]]]:
-    """Each name a module refers to, by a name, an attribute or a string
-    constant such as an __all__ entry, with the ids of the function and
-    class definitions it lies inside."""
+    """Each name a module refers to, by a name it does not assign, an
+    attribute or a string constant such as an __all__ entry, with the ids
+    of the function and class definitions it lies inside."""
     found = []
 
     def visit(node, inside):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.append((node.id, inside))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, inside))
@@ -114,4 +114,34 @@ def test_every_function_and_class_has_a_caller_in_the_package():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and not any(name == node.name and id(node) not in inside
                           for name, inside in references)]
+    assert unused == []
+
+
+def _module_level_names(tree) -> tuple[list[str], list[str]]:
+    """The names a module binds by top-level imports, other than `from
+    __future__`, and by top-level assignments, other than dunders."""
+    imported, assigned = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned += [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                         and not n.id.startswith("__")]
+    return imported, assigned
+
+
+def test_every_module_level_import_and_assignment_has_a_reader():
+    # an import is read by its own module, or named in its __all__; an
+    # assignment by any module of the package
+    package = {name for tree in MODULES.values() for name, _ in _references(tree)}
+    unused = []
+    for module, tree in MODULES.items():
+        own = {name for name, _ in _references(tree)}
+        imported, assigned = _module_level_names(tree)
+        unused += [f"{module}.{name}" for name in imported if name not in own]
+        unused += [f"{module}.{name}" for name in assigned if name not in package]
     assert unused == []

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from errprop import eval_uncertain, formatting, make_uncertain, parse_expr, svg, table
 from errprop.cli import main
-from errprop.core import UncertainScalar, UncertainVector
+from errprop.core import UncertainScalar, UncertainVector, subset
 from errprop.exceptions import ErrpropError, NegativeError, ParseError
 from errprop.svg import scatter_svg
 from errprop.table import (
@@ -257,10 +257,14 @@ def _reference_svg_rows(x, y, groups=None):
         xmin, xmax = x.values - x.errors, x.values + x.errors
         ymin, ymax = y.values - y.errors, y.values + y.errors
     n = len(x)
-    xaxis = axis(float(np.min(xmin)) if n else 0.0, float(np.max(xmax)) if n else 1.0,
-                 40.0, 760.0)
-    yaxis = axis(float(np.min(ymin)) if n else 0.0, float(np.max(ymax)) if n else 1.0,
-                 570.0, 30.0)
+
+    def finite_range(lo, hi):
+        # each axis spans its finite bar ends only
+        ends = [e for e in lo.tolist() + hi.tolist() if math.isfinite(e)]
+        return (min(ends), max(ends)) if ends else (0.0, 1.0)
+
+    xaxis = axis(*finite_range(xmin, xmax), 40.0, 760.0)
+    yaxis = axis(*finite_range(ymin, ymax), 570.0, 30.0)
     color_of = {}
     for g in groups or ():
         color_of.setdefault(g, svg.PALETTE[len(color_of) % len(svg.PALETTE)])
@@ -304,6 +308,17 @@ def test_svg_well_formed_and_equal_to_row_loop(points, grouped, x_label, y_label
     # an escaped label holds no "<": every line that starts with one is markup
     rows = [line for line in out.split("\n") if line.startswith(("<line", "<circle"))]
     assert rows == _reference_svg_rows(x, y, groups)
+
+
+@pytest.mark.parametrize("value, error", [(math.nan, math.nan), (math.inf, 0.0)])
+def test_svg_nonfinite_row_moves_no_other_point(value, error):
+    # the row is still drawn, and the axes span the other rows' bars
+    y = make_uncertain([10.0, 20.0, 30.0], 1.0)
+    with_row = scatter_svg(UncertainVector([1.0, 2.0, value], [0.1, 0.1, error]), y)
+    without = scatter_svg(make_uncertain([1.0, 2.0], 0.1), subset(y, [0, 1]))
+    cx = [[c.get("cx") for c in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}circle")]
+          for out in (with_row, without)]
+    assert cx == [["100.00", "700.00", str(value)], ["100.00", "700.00"]]
 
 
 @pytest.mark.parametrize("v", [4503599627370498.0, -1e300, 1.7976931348623157e308])
