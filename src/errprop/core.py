@@ -97,7 +97,8 @@ class UncertainVector:
             yield UncertainScalar._unchecked(float(v), float(e))
 
     def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
+        # a bool is an int, but indexes as numpy's one-element mask np.True_
+        if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
             n = len(self)
             if not -n <= i < n:
                 raise IndexOutOfBounds(f"index {i} out of bounds for length {n}")

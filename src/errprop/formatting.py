@@ -91,20 +91,6 @@ def _bare(v: float) -> str:
     return repr(v)
 
 
-def _bare_column(x: np.ndarray) -> list[str]:
-    """_bare of each number of a float array: numpy finds the integers
-    below 1e16, which take "%.0f", and the numbers that are not finite,
-    which take _bare; the rest take repr."""
-    whole = (np.abs(x) < 1e16) & (np.trunc(x) == x)
-    finite = np.isfinite(x)
-    rest = finite & ~whole
-    out = np.empty(len(x), dtype=object)
-    out[whole] = list(map("%.0f".__mod__, x[whole].tolist()))
-    out[rest] = list(map(repr, x[rest].tolist()))
-    out[~finite] = list(map(_bare, x[~finite].tolist()))
-    return out.tolist()
-
-
 def format_value(value: float, error: float, notation: Notation = Notation()) -> str:
     """Render a value/uncertainty pair in the requested notation."""
     # repr of a numpy float64 is "np.float64(...)"; the text is read off repr

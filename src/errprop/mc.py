@@ -4,12 +4,12 @@ Inputs are modeled as independent normals N(value, error^2), each drawn
 from its own stream, spawned from numpy's default PCG64 generator, pushed
 through the expression a chunk of CHUNK draws at a time and summarized.
 Each call runs one helper thread (see _helper): it draws chunk k + 1
-while the calling thread evaluates chunk k, and after the last chunk the
-two threads take the moments, and then the order statistics, on one half
-of the outputs each.  Each stream is drawn by one thread, and the halves
-are numpy's own pairwise subtrees, so given the same (expr, env, config)
-the result is bitwise that of numpy calls on everything drawn at once,
-whatever CHUNK is; the quantiles are read off the two sorted halves.
+while the calling thread evaluates chunk k.  After the last chunk the
+caller takes the moments while the helper looks the outputs over for
+zeros, and then each sorts one half of them.  Each stream is drawn by
+one thread, so given the same (expr, env, config) the result is bitwise
+that of numpy calls on everything drawn at once, whatever CHUNK is; the
+quantiles are read off the two sorted halves.
 Memory holds the finite outputs, 8 bytes per draw, and a fixed amount
 for two chunks; draws with both zeros, or whose sums overflow near the
 float limit, take more.  A run that fails on its non-finite outputs may
@@ -153,8 +153,13 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
     with np.errstate(over="ignore", invalid="ignore"), _helper() as both:
         kept = both(draw)[0]
         out = out[:kept]
-        mean, sd = _rescaled(lambda o: _moments(o, both), out)
-        med, mad, *quantiles = _rescaled(lambda o: _order_stats(o, cfg.quantiles, both), out)
+        # the caller takes the moments while the helper looks for zeros:
+        # both jobs only read out
+        (mean, sd), signs = both(lambda i, meet: _zero_signs(out) if i else
+                                 _rescaled(_moments, out))
+        # a scaled copy's smallest draws may underflow to zeros that out lacks
+        med, mad, *quantiles = _rescaled(lambda o: _order_stats(
+            o, cfg.quantiles, all(signs if o is out else _zero_signs(o)), both), out)
     return McResult(mean=mean, sd=sd, median=med, mad=mad,
                     quantile_values=tuple(quantiles), n_nonfinite=cfg.samples - kept)
 
@@ -229,14 +234,6 @@ def _rescaled(stats_of, out: np.ndarray) -> list[float]:
     return [s if math.isfinite(s) else t * 2.0**k for s, t in zip(stats, scaled)]
 
 
-def _halves(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """out split where numpy's pairwise sum splits it first, so that each
-    half's sum is a subtree of numpy's; no split for PAIRWISE_BLOCK draws
-    or fewer, which numpy sums as one leaf."""
-    h = 0 if out.size <= PAIRWISE_BLOCK else out.size // 2 - out.size // 2 % 8
-    return out[:h], out[h:]
-
-
 def _mean(o: np.ndarray) -> float:
     """np.mean(o), but summed from -0.0, the additive identity, where numpy
     starts from 0.0: draws that are all -0.0 have the mean -0.0.  Any
@@ -251,23 +248,14 @@ def _block() -> int:
     return max(CHUNK, PAIRWISE_BLOCK)
 
 
-def _moments(out: np.ndarray, both) -> list[float]:
-    """[_mean(out), float(np.std(out, ddof=1))], bit for bit, each of out's
-    _halves summed on a thread of both (see _helper) and, once both sums
-    are in, its squared deviations: the sum of the two sums is numpy's,
-    from -0.0, and the deviation sums are its subtrees (see _deviation_sum)."""
-    halves = _halves(out)
-    bufs = [np.empty(min(half.size, _block())) for half in halves]
-    sums = [None, None]
-
-    def work(i, meet):
-        sums[i] = np.add.reduce(halves[i], initial=-0.0)
-        meet()
-        m = (0.0 + (sums[0] + sums[1])) / out.size  # np.std's mean, summed from 0.0
-        return _deviation_sum(halves[i], m, bufs[i])
-
-    left, right = both(work)
-    return [float((sums[0] + sums[1]) / out.size), math.sqrt((left + right) / (out.size - 1))]
+def _moments(out: np.ndarray) -> list[float]:
+    """[_mean(out), float(np.std(out, ddof=1))], bit for bit: the sum from
+    -0.0 is numpy's, and the squared deviations are summed along its
+    pairwise tree (see _deviation_sum)."""
+    total = np.add.reduce(out, initial=-0.0)
+    m = (0.0 + total) / out.size  # np.std's mean, summed from 0.0
+    deviations = _deviation_sum(out, m, np.empty(min(out.size, _block())))
+    return [float(total / out.size), math.sqrt(deviations / (out.size - 1))]
 
 
 def _deviation_sum(o: np.ndarray, m: np.float64, buf: np.ndarray) -> float:
@@ -302,30 +290,17 @@ def _zero_signs(out: np.ndarray) -> tuple[bool, bool]:
     return negative, positive
 
 
-def _order_stats(out: np.ndarray, quantiles: tuple, both) -> list[float]:
-    """Median, MAD and quantiles of finite draws, in that order, read off
-    out's _halves, each looked over for zeros and then sorted in place on
-    its own thread of both (see _helper).
+def _order_stats(out: np.ndarray, quantiles: tuple, both_zeros: bool, both) -> list[float]:
+    """Median, MAD and quantiles of finite draws, in that order, where
+    both_zeros says whether out holds both -0.0 and 0.0.  Without them,
+    out is sorted in place, one half on each thread of both (see
+    _helper), and the statistics are read off the two sorted halves.
 
     The results are bitwise those of m = float(np.median(out)),
     MAD_SCALE * np.median(np.abs(out - m)) and np.quantile(out,
     quantiles), which make three selections and an n-length |out - m|.
     """
-    halves = _halves(out)
-    signs = [None, None]  # whether each half holds -0.0 and whether 0.0
-
-    def both_zeros():
-        (negative, positive), (other_negative, other_positive) = signs
-        return (negative or other_negative) and (positive or other_positive)
-
-    def work(i, meet):
-        signs[i] = _zero_signs(halves[i])
-        meet()
-        if not both_zeros():
-            halves[i].sort()
-
-    both(work)
-    if both_zeros():
+    if both_zeros:
         # -0.0 == 0.0: which zero numpy's selection puts at a rank is its
         # own detail, and its sort may even turn one zero into the other,
         # so draws with both zeros, left in draw order, need the same calls
@@ -333,6 +308,8 @@ def _order_stats(out: np.ndarray, quantiles: tuple, both) -> list[float]:
         med = float(np.median(out))
         mad = np.median(np.abs(out - med))
         return [med, float(MAD_SCALE * mad), *map(float, np.quantile(out, quantiles))]
+    halves = out[:out.size // 2], out[out.size // 2:]
+    both(lambda i, meet: halves[i].sort())
     return _sorted_stats(*halves, quantiles)
 
 

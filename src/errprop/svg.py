@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -40,11 +41,11 @@ class _Axis:
         self.lo, self.hi = lo, hi
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
-    def __call__(self, v: np.ndarray) -> list[float]:
+    def __call__(self, v: np.ndarray) -> np.ndarray:
         """Pixel coordinates of v, by the same float operations, in the
         same order, as for one Python float."""
         f = (v - self.lo) / (self.hi - self.lo)
-        return (self.pix_lo + f * (self.pix_hi - self.pix_lo)).tolist()
+        return self.pix_lo + f * (self.pix_hi - self.pix_lo)
 
 
 def _finite_range(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
@@ -67,10 +68,16 @@ def _escape(text: str) -> str:
     return re.sub(_NOT_XML, "\ufffd", text)
 
 
-# one point: its horizontal and vertical error bars, then its marker
-_ROW = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" class="xbar"/>\n'
-        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" class="ybar"/>\n'
-        f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="none" stroke="%s" class="pt"/>')
+# one point: its horizontal and vertical error bars, then its marker, each
+# with its span of a row (x0, cy, x1, cy, color, cx, y0, cx, y1, color, cx,
+# cy, color): its coordinates, then its color
+_ELEMENTS = [
+    ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" class="xbar"/>', slice(0, 5)),
+    ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" class="ybar"/>', slice(5, 10)),
+    (f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="none" stroke="%s" class="pt"/>',
+     slice(10, 13)),
+]
+_ROW = "\n".join(template for template, _ in _ELEMENTS)
 
 
 def scatter_svg(
@@ -96,8 +103,10 @@ def scatter_svg(
         xaxis = _Axis(*_finite_range(xmin, xmax), mx, WIDTH - mx)
         # SVG y grows downward
         yaxis = _Axis(*_finite_range(ymin, ymax), HEIGHT - my, my)
-        cx, cy = xaxis(x.values), yaxis(y.values)
-        x0, x1, y0, y1 = xaxis(xmin), xaxis(xmax), yaxis(ymin), yaxis(ymax)
+        coords = [xaxis(x.values), yaxis(y.values), xaxis(xmin), xaxis(xmax), yaxis(ymin),
+                  yaxis(ymax)]
+    finite = np.isfinite(coords).all(axis=0).tolist()
+    cx, cy, x0, x1, y0, y1 = (c.tolist() for c in coords)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -112,7 +121,14 @@ def scatter_svg(
     ]
     color_of = dict(zip(dict.fromkeys(groups or ()), itertools.cycle(PALETTE)))
     colors = [color_of[g] for g in groups] if groups is not None else [PALETTE[0]] * n
-    parts += [_ROW % row for row in zip(x0, cy, x1, cy, colors, cx, y0, cx, y1, colors,
-                                         cx, cy, colors)]
+    rows = zip(x0, cy, x1, cy, colors, cx, y0, cx, y1, colors, cx, cy, colors)
+    # SVG 1.1 has no number for nan or inf: of a row that is not all finite,
+    # only the elements whose own coordinates are finite are drawn
+    for row, whole in zip(rows, finite):
+        if whole:
+            parts.append(_ROW % row)
+        else:
+            parts += [template % row[span] for template, span in _ELEMENTS
+                      if all(map(math.isfinite, row[span][:-1]))]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -20,7 +20,7 @@ from .exceptions import ErrpropError, ParseError, UnboundVariable
 from .expr import parse_expr, eval_uncertain
 # read_csv reads every column through parse_column; parse_value reads
 # one cell at a time, where _first_bad_cell names a column's bad cell
-from .formatting import (Notation, _bare_column, format_column, parse_column, parse_number,
+from .formatting import (Notation, _bare, format_column, parse_column, parse_number,
                          parse_value)
 from . import summaries
 
@@ -61,7 +61,7 @@ class Table:
             if isinstance(col, UncertainVector):
                 cols.append(format_column(col, notation))
             elif isinstance(col, np.ndarray):
-                cols.append(_bare_column(col))
+                cols.append(list(map(_bare, col.tolist())))
             else:
                 cols.append([str(v) for v in col])
         return [list(row) for row in zip(*cols)] if cols else []

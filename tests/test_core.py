@@ -150,6 +150,15 @@ def test_subset_refuses_indices_that_are_not_integers():
     assert subset(x, [True, False, True]) == make_uncertain([5, 3], 0.01)
 
 
+@pytest.mark.parametrize("mask", [True, False, np.True_, np.False_])
+def test_a_bool_index_is_a_one_element_mask(mask):
+    # True is an int, but selects as np.True_ does, not as index 1
+    one = make_uncertain([5.0], 0.1)
+    assert one[mask] == (one if mask else make_uncertain([], []))
+    with pytest.raises(IndexOutOfBounds, match="mask length"):
+        make_uncertain([5.0, 1.0], 0.1)[mask]
+
+
 def test_vectors_are_one_dimensional():
     with pytest.raises(DimensionMismatch):
         make_uncertain([[1, 2], [3, 4]], 0.1)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from errprop import Notation, format_column, format_value, make_uncertain, parse_value
 from errprop.core import UncertainVector
 from errprop.exceptions import NegativeError, ParseError
-from errprop.formatting import (_CELL, _MEASUREMENT_RE, _NUMBERS_RE, _bare_column, _exact,
+from errprop.formatting import (_CELL, _MEASUREMENT_RE, _NUMBERS_RE, _bare, _exact,
                                 _pair, parse_column, parse_number)
 
 PAREN = Notation("parenthesis")
@@ -508,8 +508,10 @@ def test_format_column_matches_reference(pairs, digits, style):
 @settings(max_examples=300, deadline=None)
 @given(xs=st.lists(st.floats() | _values | st.integers(-10**17, 10**17).map(float)
                    | st.sampled_from([-0.0, 1e16 - 2, -math.nan]), max_size=50))
-def test_bare_column_matches_bare(xs):
-    assert _bare_column(np.array(xs, dtype=float)) == [_reference_bare(v) for v in xs]
+def test_bare_matches_reference(xs):
+    # the floats of a plain column, as Table.formatted hands them over
+    floats = np.array(xs, dtype=float).tolist()
+    assert [_bare(v) for v in floats] == [_reference_bare(v) for v in xs]
 
 
 @pytest.mark.parametrize("notation", [PAREN, PM, Notation("plus-minus", 16)],

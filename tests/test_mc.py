@@ -21,13 +21,7 @@ from errprop.mc import CHUNK, MAD_SCALE, MAX_SAMPLES, _fill, _mean
 def _order_stats(out, quantiles):
     """mc._order_stats on a helper thread of its own."""
     with mc._helper() as both:
-        return mc._order_stats(out, quantiles, both)
-
-
-def _moments(out):
-    """mc._moments on a helper thread of its own."""
-    with mc._helper() as both:
-        return mc._moments(out, both)
+        return mc._order_stats(out, quantiles, _both_zeros(out), both)
 
 
 def _sd(o):
@@ -307,8 +301,8 @@ def test_mc_propagate_does_not_depend_on_chunk(monkeypatch, expr, env, n, chunk)
     monkeypatch.setattr(mc, "CHUNK", chunk(n))
     # the finite outputs, in draw order, as the order statistics receive them
     outputs, order_stats = [], mc._order_stats
-    monkeypatch.setattr(mc, "_order_stats", lambda out, qs, both:
-                        outputs.append(out.copy()) or order_stats(out, qs, both))
+    monkeypatch.setattr(mc, "_order_stats", lambda out, qs, both_zeros, both:
+                        outputs.append(out.copy()) or order_stats(out, qs, both_zeros, both))
     cfg = McConfig(samples=n, seed=9, quantiles=QUANTILES)
     got = _got(mc_propagate(parse_expr(expr), env, cfg))
     want_outputs, want = _reference(parse_expr(expr), env, cfg)
@@ -417,6 +411,19 @@ def test_statistics_of_draws_near_the_float_limit(value, error):
     assert got.mad == pytest.approx(mad, rel=1e-12, abs=4 * math.ulp(float(median)))
     q = np.quantile(draws / 2.0**600, QUANTILES) * 2.0**600
     assert got.quantile_values == pytest.approx(tuple(q), rel=1e-15)
+
+
+def test_rescaled_order_statistics_look_their_copy_over_for_zeros(monkeypatch):
+    # at an even count the median of two draws near the float limit
+    # overflows, and the order statistics are taken again on a scaled
+    # copy, whose smallest draws may underflow to zeros that out lacks
+    n, looked_over, zero_signs = 1000, [], mc._zero_signs
+    monkeypatch.setattr(mc, "_zero_signs", lambda o: looked_over.append(o.copy()) or zero_signs(o))
+    mc_propagate(parse_expr("x"), {"x": UncertainScalar(1.7e308, 1e300)}, McConfig(samples=n, seed=5))
+    draws = _streams(5, ["x"])["x"].normal(1.7e308, 1e300, n)
+    k = math.frexp(draws.max())[1] - 256
+    assert [np.sort(o).tobytes() for o in looked_over] == [np.sort(draws).tobytes(),
+                                                            np.sort(draws * 2.0**-k).tobytes()]
 
 
 def _peak(n):
@@ -547,34 +554,40 @@ def test_rank_reader_reads_the_merged_sort(a, b):
                                       *range(2 * mc.PAIRWISE_BLOCK - 9, 2 * mc.PAIRWISE_BLOCK + 10),
                                       CHUNK - 9, CHUNK, CHUNK + 1, CHUNK + 9, 2 * CHUNK + 9}))
 def test_moments_on_two_threads_are_mean_and_sd(n):
-    # each half's sum is a subtree of numpy's pairwise sum
+    # one thread takes both moments (the name predates that)
     rng = np.random.default_rng(n)
     for scale in (1.0, -3.7, 1e-300, 1e200):
         o = (rng.standard_normal(n) + rng.standard_normal()) * scale
         with np.errstate(all="ignore"):
-            assert _bits(*_moments(o)) == _bits(_mean(o), _sd(o))
+            assert _bits(*mc._moments(o)) == _bits(_mean(o), _sd(o))
+            assert _bits(*mc._moments(o)) == _bits(_mean(o), float(np.std(o, ddof=1)))
     zeros = -np.zeros(n)  # all -0.0: the mean is -0.0
-    assert _bits(*_moments(zeros)) == _bits(_mean(zeros), _sd(zeros))
+    assert _bits(*mc._moments(zeros)) == _bits(_mean(zeros), _sd(zeros))
+    assert _bits(*mc._moments(zeros)) == _bits(_mean(zeros), float(np.std(zeros, ddof=1)))
 
 
 def _helpers():
     return [t for t in threading.enumerate() if t.name == "errprop-mc-helper"]
 
 
-@pytest.mark.parametrize("where", ["_zero_signs", "_deviation_sum"])
+@pytest.mark.parametrize("where", ["_zero_signs", "_fill"])
 def test_helper_failure_reaches_the_caller(monkeypatch, where):
-    # an error in the helper thread, before its wait (_zero_signs) or after
-    # it (_deviation_sum), is raised by mc_propagate, and the helper is gone
+    # an error in the helper thread, in a job with no meet inside
+    # (_zero_signs) or after a meet (_fill of its second chunk), is raised
+    # by mc_propagate, and the helper is gone
     class HelperFailed(Exception):
         pass
 
-    real = getattr(mc, where)
+    real, calls, calls_before = getattr(mc, where), [], int(where == "_fill")
 
     def fail_off_the_main_thread(*args):
         if threading.current_thread() is not threading.main_thread():
-            raise HelperFailed
+            calls.append(1)
+            if len(calls) > calls_before:
+                raise HelperFailed
         return real(*args)
 
+    monkeypatch.setattr(mc, "CHUNK", 100)  # the helper draws x, ten chunks
     monkeypatch.setattr(mc, where, fail_off_the_main_thread)
     before = threading.active_count()
     with pytest.raises(HelperFailed):

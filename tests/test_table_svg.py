@@ -274,12 +274,16 @@ def _reference_svg_rows(x, y, groups=None):
         cx, cy = xaxis(float(x.values[i])), yaxis(float(y.values[i]))
         x0, x1 = xaxis(float(xmin[i])), xaxis(float(xmax[i]))
         y0, y1 = yaxis(float(ymin[i])), yaxis(float(ymax[i]))
-        rows.append(f'<line x1="{fmt(x0)}" y1="{fmt(cy)}" x2="{fmt(x1)}" '
-                    f'y2="{fmt(cy)}" stroke="{color}" class="xbar"/>')
-        rows.append(f'<line x1="{fmt(cx)}" y1="{fmt(y0)}" x2="{fmt(cx)}" '
-                    f'y2="{fmt(y1)}" stroke="{color}" class="ybar"/>')
-        rows.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.0" '
-                    f'fill="none" stroke="{color}" class="pt"/>')
+        # an element is written only if its own coordinates are finite
+        if all(map(math.isfinite, (x0, x1, cy))):
+            rows.append(f'<line x1="{fmt(x0)}" y1="{fmt(cy)}" x2="{fmt(x1)}" '
+                        f'y2="{fmt(cy)}" stroke="{color}" class="xbar"/>')
+        if all(map(math.isfinite, (cx, y0, y1))):
+            rows.append(f'<line x1="{fmt(cx)}" y1="{fmt(y0)}" x2="{fmt(cx)}" '
+                        f'y2="{fmt(y1)}" stroke="{color}" class="ybar"/>')
+        if all(map(math.isfinite, (cx, cy))):
+            rows.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.0" '
+                        f'fill="none" stroke="{color}" class="pt"/>')
     return rows
 
 
@@ -302,23 +306,52 @@ def test_svg_well_formed_and_equal_to_row_loop(points, grouped, x_label, y_label
     groups = [p[2] for p in points] if grouped else None
     out = scatter_svg(x, y, groups, x_label=x_label, y_label=y_label)
     root = ET.fromstring(out)
-    n = len(points)
-    assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == n
-    assert len(root.findall("{http://www.w3.org/2000/svg}line")) == 2 * n
+    want = _reference_svg_rows(x, y, groups)
+    assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == sum(
+        r.startswith("<circle") for r in want)
+    assert len(root.findall("{http://www.w3.org/2000/svg}line")) == sum(
+        r.startswith("<line") for r in want)
+    _assert_svg_numbers(root)
     # an escaped label holds no "<": every line that starts with one is markup
     rows = [line for line in out.split("\n") if line.startswith(("<line", "<circle"))]
-    assert rows == _reference_svg_rows(x, y, groups)
+    assert rows == want
+
+
+# a number in SVG 1.1's attribute grammar; no nan, no inf
+_SVG_NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+
+
+def _assert_svg_numbers(root):
+    for el in root.iter():
+        for name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "r", "width", "height"):
+            if name in el.attrib:
+                assert _SVG_NUMBER.fullmatch(el.attrib[name]), (el.tag, name, el.attrib[name])
 
 
 @pytest.mark.parametrize("value, error", [(math.nan, math.nan), (math.inf, 0.0)])
 def test_svg_nonfinite_row_moves_no_other_point(value, error):
-    # the row is still drawn, and the axes span the other rows' bars
+    # the row has no finite x, so it draws nothing, and the axes span the
+    # other rows' bars
     y = make_uncertain([10.0, 20.0, 30.0], 1.0)
     with_row = scatter_svg(UncertainVector([1.0, 2.0, value], [0.1, 0.1, error]), y)
     without = scatter_svg(make_uncertain([1.0, 2.0], 0.1), subset(y, [0, 1]))
     cx = [[c.get("cx") for c in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}circle")]
           for out in (with_row, without)]
-    assert cx == [["100.00", "700.00", str(value)], ["100.00", "700.00"]]
+    assert cx == [["100.00", "700.00"], ["100.00", "700.00"]]
+    assert with_row.count("<line") == without.count("<line") == 4
+
+
+def test_svg_infinite_error_keeps_the_marker_and_the_finite_bar():
+    # x = 1.5 with an infinite error: no horizontal bar, but its vertical
+    # bar and its marker, and every number in the file is an SVG number
+    x = UncertainVector._unchecked(np.array([1.0, 2.0, 1.5]), np.array([0.1, 0.1, math.inf]))
+    out = scatter_svg(x, make_uncertain([10.0, 20.0, 30.0], 1.0))
+    root = ET.fromstring(out)
+    _assert_svg_numbers(root)
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    assert [c.get("cx") for c in root.iter(svg_ns + "circle")] == ["100.00", "700.00", "400.00"]
+    assert [line.get("class") for line in root.iter(svg_ns + "line")] == [
+        "xbar", "ybar", "xbar", "ybar", "ybar"]
 
 
 @pytest.mark.parametrize("v", [4503599627370498.0, -1e300, 1.7976931348623157e308])
