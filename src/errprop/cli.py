@@ -37,14 +37,16 @@ def _notation(args) -> Notation:
     return Notation(style=style, digits=digits)
 
 
-def _parse_vars(pairs: list[str]) -> dict:
-    env = {}
+def _name_value(pairs: list[str], what: str, read=str) -> list[tuple[str, object]]:
+    """Each NAME=VALUE argument as (NAME, read(VALUE)), split at its first
+    "="; the name must not be empty."""
+    out = []
     for pair in pairs:
-        name, sep, spec = pair.partition("=")
+        name, sep, value = pair.partition("=")
         if not sep or not name:
-            raise ErrpropError(f"variable must be name=value, got {pair!r}")
-        env[name] = parse_value(spec)
-    return env
+            raise ErrpropError(f"{what} must be NAME=VALUE, got {pair!r}")
+        out.append((name, read(value)))
+    return out
 
 
 def _json_safe(obj):
@@ -78,7 +80,7 @@ def _add_common(p: argparse.ArgumentParser):
 def cmd_eval(args) -> int:
     notation = _notation(args)
     ast = parse_expr(args.expr)
-    env = _parse_vars(args.vars)
+    env = dict(_name_value(args.vars, "a variable", parse_value))
     result = eval_uncertain(ast, env)
     fields = _value_fields(result.value, result.error, notation)
     if args.out_format == "json":
@@ -92,16 +94,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _col_spec(pairs: list[str], what: str) -> list[tuple[str, str]]:
-    out = []
-    for pair in pairs:
-        name, sep, val = pair.partition("=")
-        if not sep:
-            raise ErrpropError(f"--{what} needs column=value, got {pair!r}")
-        out.append((name, val))
-    return out
-
-
 def _load_table(args, columns=None) -> tbl.Table:
     """The input table with the errors the flags attach; only the named
     columns are classified, when columns is given."""
@@ -110,11 +102,11 @@ def _load_table(args, columns=None) -> tbl.Table:
     else:
         with open(args.input, newline="") as fh:
             table = tbl.read_csv(fh, columns)
-    for col, val in _col_spec(args.rel_error, "rel-error"):
-        tbl.attach_errors(table, col, relative=parse_number(val))
-    for col, val in _col_spec(args.abs_error, "abs-error"):
-        tbl.attach_errors(table, col, absolute=parse_number(val))
-    for col, val in _col_spec(args.error_col, "error-col"):
+    for col, val in _name_value(args.rel_error, "--rel-error", parse_number):
+        tbl.attach_errors(table, col, relative=val)
+    for col, val in _name_value(args.abs_error, "--abs-error", parse_number):
+        tbl.attach_errors(table, col, absolute=val)
+    for col, val in _name_value(args.error_col, "--error-col"):
         tbl.attach_errors(table, col, error_column=val)
     return table
 
@@ -132,7 +124,7 @@ def _add_table_flags(p: argparse.ArgumentParser):
 def cmd_table(args) -> int:
     notation = _notation(args)
     table = _load_table(args)
-    for name, expression in _col_spec(args.derive, "derive"):
+    for name, expression in _name_value(args.derive, "--derive"):
         tbl.derive_column(table, name, expression)
     # every summary is taken before anything is written: a failing one
     # leaves stdout empty
@@ -165,7 +157,7 @@ def cmd_table(args) -> int:
 def cmd_mc(args) -> int:
     notation = _notation(args)
     ast = parse_expr(args.expr)
-    env = _parse_vars(args.vars)
+    env = dict(_name_value(args.vars, "a variable", parse_value))
     try:
         cfg = McConfig(samples=args.samples, seed=args.seed,
                        quantiles=tuple(args.quantiles))
@@ -176,7 +168,7 @@ def cmd_mc(args) -> int:
         ("tsm_value", report.tsm_value),
         ("tsm_sd", report.tsm_sd),
         ("mcm_mean", report.mcm.mean),
-        ("mcm_sd", report.mcm.sd),
+        ("mcm_sd", report.mcm_sd),
         ("mcm_median", report.mcm.median),
         ("mcm_mad", report.mcm.mad),
     ]

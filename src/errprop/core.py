@@ -38,26 +38,21 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-def _legal(values, errors):
-    """The rule for data from outside the program, on floats or arrays:
-    an uncertainty is finite and nonnegative, or NaN on a NaN value."""
-    # x != x is the NaN test that costs a Python float no numpy call
-    return ((0 <= errors) & (errors < np.inf)) | ((values != values) & (errors != errors))
-
-
 def _illegal(value, error, where: str = "") -> NegativeError:
+    """The one rule for a measurement: an uncertainty is never negative;
+    +Inf and NaN are uncertainties, on any value."""
     return NegativeError(f"uncertainty {error} on value {value}{where}: an uncertainty "
-                         "must be finite and nonnegative, or NaN on a NaN value")
+                         "must not be negative")
 
 
 class UncertainVector:
     """Parallel sequences of values and nonnegative standard uncertainties.
 
-    The constructors of both classes check their input by `_legal`; data
+    The constructors of both classes refuse a negative uncertainty
+    (`_illegal`); an infinite or NaN one is legal on any value.  Data
     already inside the program (results, slices, elements) is built by
-    `_unchecked` and never checked again, so it may carry an infinite or
-    NaN uncertainty.  The arithmetic operators are installed by
-    `propagation`, from its table `_OPERATORS`.
+    `_unchecked` and never checked again.  The arithmetic operators are
+    installed by `propagation`, from its table `_OPERATORS`.
     """
 
     __slots__ = ("values", "errors")
@@ -66,7 +61,7 @@ class UncertainVector:
         values, errors = _frozen(values), _frozen(errors)
         if len(values) != len(errors):
             raise LengthMismatch(f"{len(values)} values but {len(errors)} errors")
-        bad = ~_legal(values, errors)
+        bad = errors < 0  # NaN compares false
         if bad.any():
             i = int(np.argmax(bad))
             raise _illegal(values[i], errors[i], f" at index {i}")
@@ -129,7 +124,7 @@ class UncertainScalar:
     error: float
 
     def __post_init__(self):
-        if not _legal(self.value, self.error):
+        if self.error < 0:
             raise _illegal(self.value, self.error)
 
     @classmethod
@@ -163,7 +158,7 @@ def as_uncertain(x) -> UncertainVector:
 def make_uncertain(values: Sequence[float], errors) -> UncertainVector:
     """Build an UncertainVector; a single error value is broadcast to all elements.
 
-    Raises NegativeError for an uncertainty `_legal` rejects, LengthMismatch
+    Raises NegativeError for a negative uncertainty, LengthMismatch
     when 1 < len(errors) != len(values), and DimensionMismatch for input
     that is not 1-d.  Broadcasting is scalar-to-vector only.
     """

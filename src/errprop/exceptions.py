@@ -6,8 +6,7 @@ class ErrpropError(Exception):
 
 
 class NegativeError(ErrpropError, ValueError):
-    """A supplied standard uncertainty is negative, infinite, or NaN on a
-    value that is not NaN."""
+    """A supplied standard uncertainty is negative."""
 
 
 class LengthMismatch(ErrpropError, ValueError):

@@ -223,15 +223,18 @@ def _scientific(s: str, e: float, q: int, style: str, digits: int) -> str:
 
 def _exact(value: float, error: float, style: str, digits: int) -> str:
     """Text of one pair by integer arithmetic on the shortest repr digits."""
-    if math.isnan(error):
-        return "NaN(NaN)" if style == PARENTHESIS else "NaN ± NaN"
     if error == 0:
         return _bare(value)
-    if not math.isfinite(value) or math.isinf(error):
+    if not (math.isfinite(value) and math.isfinite(error)):
+        # each number as it is: "5(NaN)", "0(Inf)", "Inf(0.1)", "NaN ± NaN"
         v, e = _bare(value), _bare(error)
-        if style == PARENTHESIS and "e" in e:  # "Inf(1e-05)" would not read back
+        if style == PLUS_MINUS:
+            return f"{v} ± {e}"
+        # "1e-05(Inf)" and "Inf(1e-05)" would not read back
+        v, sep, exp = v.partition("e")
+        if "e" in e:
             e = _fixed("", *_digits(error))
-        return f"{v}({e})" if style == PARENTHESIS else f"{v} ± {e}"
+        return f"{v}({e}){sep}{exp}"
 
     # a value that rounds to zero keeps the sign bit: -0.0001 -> -0.000(1)
     sign = "-" if math.copysign(1.0, value) < 0 else ""
@@ -367,10 +370,11 @@ def parse_value(s: str) -> UncertainScalar:
     Accepted forms: "5.00(5)" (parenthesis, last-digit referenced),
     "5.00(0.05)" (parenthesis, absolute), "5.00 ± 0.05" (plus-minus,
     "+/-" also accepted), each with an optional exponent suffix, or a
-    bare number (error 0); inf and nan are numbers ("NaN(NaN)").  A pair
-    the UncertainScalar constructor rejects is a ParseError at the
-    uncertainty; a text no form reads is one at the length of its longest
-    start that some cell starts with ("2.0(1" at 5, "2.0(x)" at 4).
+    bare number (error 0); inf and nan are numbers ("5(NaN)", "0(Inf)"),
+    and an exponent past the float range makes them infinite.  A negative
+    uncertainty is a ParseError at the uncertainty ("5 ± -1" at 4); a text
+    no form reads is one at the length of its longest start that some cell
+    starts with ("2.0(1" at 5, "2.0(x)" at 4).
     """
     m = _MEASUREMENT_RE.fullmatch(s)
     if not m:
@@ -441,7 +445,7 @@ def parse_column(cells: list[str]) -> np.ndarray | UncertainVector | None:
         values[i], errors[i] = _pair(*_MEASUREMENT_RE.fullmatch(cells[i]).groups())
     try:
         return UncertainVector(values, errors)
-    except NegativeError:  # an illegal pair
+    except NegativeError:  # a negative uncertainty
         return None
 
 

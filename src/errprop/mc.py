@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonFiniteSamples, UnboundVariable
+from .exceptions import NonFiniteSamples
 from .expr import ExprAst, Var, eval_numeric, eval_uncertain, free_variables
 
 __all__ = ["McConfig", "McResult", "TsmMcmReport", "mc_propagate", "compare_tsm_mcm"]
@@ -100,10 +100,8 @@ def mc_propagate(expr: ExprAst, env: dict, cfg: McConfig = McConfig()) -> McResu
     excluded and counted.
     """
     names = sorted(free_variables(expr))
-    missing = [n for n in names if n not in env]
-    if missing:
-        raise UnboundVariable(missing[0])
-    inputs = [eval_uncertain(Var(name), env) for name in names]  # a plain number is exact
+    # a plain number is exact; the first unbound name raises UnboundVariable
+    inputs = [eval_uncertain(Var(name), env) for name in names]
     # one stream per variable, in sorted-name order: the draws of a variable
     # are the same whether taken at once or a chunk at a time, and whether
     # or not another variable is exact

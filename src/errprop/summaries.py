@@ -117,7 +117,9 @@ def _mean_rule(v, e, w, wsum: float) -> UncertainScalar:
     if w is not None:
         spread *= w
     wsem = float(math.sqrt(np.sum(spread) * n / (wsum * (n - 1))) / math.sqrt(n))
-    return _summary(value, max(wsem, werr))
+    # max() keeps its first argument when the other is NaN: a NaN error
+    # among the elements makes a NaN error, as in a sum
+    return _summary(value, werr if math.isnan(werr) else max(wsem, werr))
 
 
 @np.errstate(all="ignore")

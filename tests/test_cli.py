@@ -45,17 +45,22 @@ def test_eval_bad_expression_is_exit_2(capsys):
 
 
 def test_eval_infinite_uncertainty_in_input_and_result(capsys):
-    code, out, err = run(capsys, "eval", "x", "x=1 ± 1e999")
-    assert code == 2
-    assert out == ""
-    assert "finite and nonnegative" in err and "(position 4)" in err
-    # a result may carry an infinite or a NaN uncertainty
+    # an input may carry an infinite or a NaN uncertainty, but no negative one
+    assert run(capsys, "eval", "x", "x=1 ± 1e999")[:2] == (0, "1(Inf)\n")
+    assert run(capsys, "eval", "x", "x=5(NaN)")[:2] == (0, "5(NaN)\n")
+    for binding in ("x=5 ± -1", "x=1 ± -1e999"):
+        code, out, err = run(capsys, "eval", "x", binding)
+        assert (code, out) == (2, "")
+        assert "must not be negative" in err and "(position 4)" in err
+    # a result may carry an infinite or a NaN uncertainty, and prints its value
     assert run(capsys, "eval", "sqrt(x)", "x=0(1)")[:2] == (0, "0(Inf)\n")
+    assert run(capsys, "eval", "x^y + 1", "x=-2.0(1)", "y=2.0(1)")[:2] == (0, "5(NaN)\n")
     code, out, _ = run(capsys, "eval", "x^y + 1", "x=-2.0(1)", "y=2.0(1)",
                        "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["value"] == 5.0 and doc["error"] is None  # JSON has no NaN
+    assert doc["formatted"] == "5(NaN)"
 
 
 @pytest.mark.parametrize("expr, position", [
@@ -144,15 +149,14 @@ def test_eval_far_apart_value_and_uncertainty(capsys, binding, pair, notation):
     assert (out.value, out.error) == pair
 
 
-@pytest.mark.parametrize("binding, position", [
-    ("x=1(1)e99999999", 2), ("x=1 ± 1e99999999", 4),
-    pytest.param("x=1(1)e" + "1" * 5000, 2, id="paren-5000-digit-exponent"),
-    pytest.param("x=1 ± 1e" + "1" * 5000, 4, id="pm-5000-digit-exponent"),
+@pytest.mark.parametrize("binding, printed", [
+    ("x=1(1)e99999999", "Inf(Inf)"), ("x=1 ± 1e99999999", "1(Inf)"),
+    pytest.param("x=1(1)e" + "1" * 5000, "Inf(Inf)", id="paren-5000-digit-exponent"),
+    pytest.param("x=1 ± 1e" + "1" * 5000, "1(Inf)", id="pm-5000-digit-exponent"),
 ])
-def test_eval_exponent_past_float_range_is_exit_2(capsys, binding, position):
-    code, out, err = run(capsys, "eval", "x", binding)
-    assert (code, out) == (2, "")
-    assert f"(position {position})" in err
+def test_eval_exponent_past_float_range_reads_as_infinite(capsys, binding, printed):
+    # as a bare 1e99999999 reads as Inf
+    assert run(capsys, "eval", "x", binding) == (0, printed + "\n", "")
 
 
 def test_table_derive(tmp_path, capsys):
@@ -347,6 +351,20 @@ def test_table_summarize(tmp_path, capsys):
     assert "mean(x) = " in out
 
 
+def test_table_summaries_of_nan_errors(tmp_path, capsys):
+    # every error of r is NaN, and so is that of each summary of r
+    src = tmp_path / "t.csv"
+    src.write_text("x,y\n-2.0(1),2.0(1)\n-3.0(1),2.0(1)\n-2.5(1),2.0(1)\n")
+    code, out, _ = run(capsys, "table", str(src), "--derive", "r=x^y", "--summarize", "sum(r)",
+                       "--summarize", "mean(r)", "--summarize", "median(r)")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["sum(r) = 19.25(NaN)", "mean(r) = 6.416666666666667(NaN)",
+                                     "median(r) = 6.25(NaN)"]
+    src.write_text("z\n1\n2\n3\n")
+    code, out, _ = run(capsys, "table", str(src), "--abs-error", "z=nan", "--summarize", "mean(z)")
+    assert (code, out.splitlines()[-1]) == (0, "mean(z) = 2(NaN)")
+
+
 def test_table_summarize_inf_minus_inf(tmp_path, capsys):
     # NaN sums carry NaN errors, and numpy's warning does not reach stderr
     src = tmp_path / "t.csv"
@@ -355,7 +373,7 @@ def test_table_summarize_inf_minus_inf(tmp_path, capsys):
                          "--summarize", "mean(x)", "--summarize", "median(x)")
     assert (code, err) == (0, "")
     assert out.splitlines()[-3:] == ["sum(x) = NaN(NaN)", "mean(x) = NaN(NaN)",
-                                     "median(x) = NaN(NaN)"]
+                                     "median(x) = 1.5(NaN)"]
 
 
 @pytest.mark.parametrize("csv_text, spec, message", [
@@ -494,6 +512,14 @@ def test_mc_nonfinite_is_exit_2(capsys):
     assert "non-finite evaluations in the first" in err and "of 10000000" in err
 
 
+@pytest.mark.parametrize("binding", ["x=1(Inf)", "x=1(NaN)"])
+def test_mc_nonfinite_uncertainty_is_exit_2(capsys, binding):
+    # the binding is read, and every draw from it is non-finite
+    code, out, err = run(capsys, "mc", "x", binding)
+    assert (code, out) == (2, "")
+    assert "non-finite evaluations in the first" in err
+
+
 def test_mc_determinism(tmp_path, capsys):
     args = ("mc", "x/y", "x=5.00(1)", "y=1.00(1)",
             "--samples", "20000", "--seed", "42", "--format", "json")
@@ -598,6 +624,20 @@ def test_plot_requires_uncertain_columns(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "x", "=5"], ["mc", "x", "=5"], ["table", "@csv", "--derive", "=x"],
+    ["table", "@csv", "--rel-error", "=0.1"], ["table", "@csv", "--abs-error", "=0.1"],
+    ["table", "@csv", "--error-col", "=e"],
+    ["plot", "@csv", "--rel-error", "=0.1", "--x", "x", "--y", "x", "-o", "@svg"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_empty_name_is_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "t.csv").write_text("x,e\n1,0.1\n2,0.2\n")
+    paths = {"@csv": str(tmp_path / "t.csv"), "@svg": str(tmp_path / "o.svg")}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, out) == (2, "") and "must be NAME=VALUE, got '=" in err
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_plot_missing_column_is_exit_2(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("x,y\n1,2\n")
@@ -674,6 +714,7 @@ _exprs = st.sampled_from(["x/y", "sin(x)", "x +", "x^y", "-x", "ln(x)", "zz", "1
 _bindings = st.lists(st.sampled_from([
     "x=1(1)", "x=0(1)", "y=2.0 ± 0.1", "y=0", "x=", "=1", "x", "y=-1(1)", "x=1 ± -1",
     "x=nan(1)", "k=0", "k=-0", "x=1e308(1e307)", "x=1.7e308 ± 1e300", "x=1(1)(1)",
+    "x=1(Inf)", "x=5(NaN)",
 ]), max_size=3)
 _columns = st.sampled_from(["a", "b", "u", "g", "zz"])
 

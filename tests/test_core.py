@@ -60,22 +60,22 @@ def test_negative_error_rejected():
 
 
 def test_nan_error_requires_nan_value():
+    # a NaN error needs no NaN value: NaN and +inf are legal on any value
     x = make_uncertain([float("nan")], [float("nan")])
     assert np.isnan(x.values[0]) and np.isnan(x.errors[0])
-    with pytest.raises(NegativeError):
-        make_uncertain([1.0], [float("nan")])
-    with pytest.raises(NegativeError):
-        make_uncertain([1.0], [math.inf])
+    assert np.isnan(make_uncertain([1.0], [float("nan")]).errors[0])
+    assert make_uncertain([1.0], [math.inf]).errors[0] == math.inf
 
 
 def test_constructors_apply_one_rule():
-    # finite and nonnegative, or NaN on a NaN value
-    for value, error in [(1.0, math.nan), (1.0, math.inf), (1.0, -0.1), (math.inf, math.inf)]:
-        with pytest.raises(NegativeError):
+    # an uncertainty is never negative
+    for value, error in [(1.0, -0.1), (1.0, -math.inf), (math.nan, -1.0), (math.inf, -5e-324)]:
+        with pytest.raises(NegativeError, match="must not be negative"):
             UncertainScalar(value, error)
         with pytest.raises(NegativeError, match="at index 1"):
             UncertainVector([0.0, value], [0.0, error])
-    for value, error in [(math.nan, math.nan), (math.nan, 0.1), (math.inf, 1.0), (1.0, -0.0)]:
+    for value, error in [(1.0, math.nan), (1.0, math.inf), (math.inf, math.inf),
+                         (math.nan, math.nan), (math.nan, 0.1), (math.inf, 1.0), (1.0, -0.0)]:
         s = UncertainScalar(value, error)
         assert np.array_equal([s.value, s.error], [value, error], equal_nan=True)
         assert UncertainVector([value], [error]) == s.as_vector()

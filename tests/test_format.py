@@ -176,13 +176,20 @@ def test_parse_nan_pair(s):
 
 
 def test_parse_rejects_what_the_rule_rejects():
-    # the error points at the uncertainty
-    for bad, position in [("1(Inf)", 2), ("1 ± nan", 4), ("Inf(Inf)", 4),
-                          ("1 ± 1e999", 4), ("1(1)e999", 2), ("5 ± -1", 4),
-                          ("1(1)e99999999", 2), ("1 ± 1e99999999", 4),
-                          ("1(1)e" + "1" * 5000, 2), ("1 ± 1e" + "1" * 5000, 4)]:
-        with pytest.raises(ParseError, match=rf"\(position {position}\)"):
+    # a negative uncertainty, and the error points at it
+    for bad, position in [("5 ± -1", 4), ("5 ± -Inf", 4), ("1 ± -1e999", 4),
+                          ("(2 ± -1)e3", 5)]:
+        with pytest.raises(ParseError, match=rf"must not be negative \(position {position}\)"):
             parse_value(bad)
+    # an infinite or NaN uncertainty is legal on any value, and an exponent
+    # past the float range reads as infinite
+    inf, nan = math.inf, math.nan
+    for good, pair in [("1(Inf)", (1.0, inf)), ("1 ± nan", (1.0, nan)), ("Inf(Inf)", (inf, inf)),
+                       ("1 ± 1e999", (1.0, inf)), ("1(1)e999", (inf, inf)),
+                       ("1(1)e99999999", (inf, inf)), ("1 ± 1e99999999", (1.0, inf)),
+                       ("1(1)e" + "1" * 5000, (inf, inf)), ("1 ± 1e" + "1" * 5000, (1.0, inf))]:
+        out = parse_value(good)
+        assert np.array([out.value, out.error]).tobytes() == np.array(pair).tobytes(), good
 
 
 _ZEROS, _ONES = "0" * 4400, "1" * 5000
@@ -251,20 +258,38 @@ def test_parse_number_rejects(bad, position):
         parse_number(bad)
 
 
+# every legal pair: any value, and an uncertainty that is not negative
+# (NaN, the quiet NaN that parse_value reads, and +inf among them)
+_legal_values = (st.floats(allow_nan=False)
+                 | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-05, 1.5e300]))
+_legal_errors = (st.floats(min_value=0.0, allow_infinity=False)
+                 | st.sampled_from([1e-05, 1e20, 3.0, 5e-324, 1.7976931348623157e308,
+                                    math.inf, math.nan]))
+
+
 @settings(max_examples=1000, deadline=None)
-@given(
-    v=st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf]),
-    e=(st.floats(min_value=0.0, allow_infinity=False)
-       | st.sampled_from([1e-05, 1e20, 3.0, 5e-324, 1.7976931348623157e308])),
-    digits=st.integers(1, 17),
-    style=st.sampled_from(["parenthesis", "plus-minus"]),
-)
+@given(v=_legal_values, e=_legal_errors, digits=st.integers(1, 17),
+       style=st.sampled_from(["parenthesis", "plus-minus"]))
 def test_legal_pairs_read_back(v, e, digits, style):
     out = parse_value(format_value(v, e, Notation(style, digits)))
-    if math.isinf(v):
-        # nothing is rounded: the uncertainty prints all its repr digits
-        assert np.float64(out.value).tobytes() == np.float64(v).tobytes()
-        assert np.float64(out.error).tobytes() == np.float64(e).tobytes()
+    if not (math.isfinite(v) and math.isfinite(e)):
+        # nothing is rounded: each number prints all its repr digits
+        assert np.array([out.value, out.error]).tobytes() == np.array([v, e]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_legal_values, _legal_errors), max_size=20),
+       digits=st.integers(1, 17), style=st.sampled_from(["parenthesis", "plus-minus"]))
+def test_legal_columns_read_back(pairs, digits, style):
+    x = make_uncertain([v for v, _ in pairs], [e for _, e in pairs])
+    cells = format_column(x, Notation(style, digits))
+    out = parse_column(cells)
+    if all(e == 0 for _, e in pairs):  # a column of bare numbers, or none
+        out = make_uncertain(out, 0.0)
+    assert isinstance(out, UncertainVector) and len(out) == len(x)
+    rows = [i for i, (v, e) in enumerate(pairs) if not (math.isfinite(v) and math.isfinite(e))]
+    assert out.values[rows].tobytes() == x.values[rows].tobytes()
+    assert out.errors[rows].tobytes() == x.errors[rows].tobytes()
 
 
 def test_negative_zero_keeps_its_sign():
@@ -430,15 +455,19 @@ def _reference_format_column(x, notation):
     paren = notation.style == "parenthesis"
     out = []
     for v, e in zip(x.values.tolist(), x.errors.tolist()):
-        if math.isnan(e):
-            out.append("NaN(NaN)" if paren else "NaN ± NaN")
-        elif e == 0:
+        if e == 0:
             out.append(_reference_bare(v))
-        elif not math.isfinite(v) or math.isinf(e):
+        elif not (math.isfinite(v) and math.isfinite(e)):
             bv, be = _reference_bare(v), _reference_bare(e)
-            if paren and "e" in be:  # an uncertainty with an exponent, written out
-                be = format(Decimal(repr(e)), "f")
-            out.append(f"{bv}({be})" if paren else f"{bv} ± {be}")
+            if paren:
+                # the value's exponent after the parenthesis, and an
+                # uncertainty with an exponent written out
+                bv, _, exp = bv.partition("e")
+                if "e" in be:
+                    be = format(Decimal(repr(e)), "f")
+                out.append(f"{bv}({be})" + (f"e{exp}" if exp else ""))
+            else:
+                out.append(f"{bv} ± {be}")
         else:
             out.append(_reference_format(v, e, notation))
     return out
@@ -482,6 +511,7 @@ _HALF_CARRIES = [float(f"{'9' * k}{d}e{p}") for k in (1, 2) for d in "56"
 _pairs = (st.tuples(_values, _magnitudes)
           | st.tuples(_values, _values.map(abs).map(lambda m: m / 10.0 ** 3))
           | st.tuples(st.just(math.nan), _magnitudes | st.just(math.nan))
+          | st.tuples(_values, st.sampled_from([math.nan, math.inf]))
           | _tie_pairs | _carry_pairs)
 
 
@@ -646,9 +676,9 @@ _GUARDED = ["0.3(0.1)e3", "0.5(1.1)e2", "2.5(0.7)e-1", "1.5(123456789012345678)"
             "٢(١)", "1 ± 2e3e4", "1 +/- 2", "(1 ± 2)e3", "1.5(2) ", "1.5(2)e3\x1c", "inf(1)e3",
             "1 ± infe4", "2.5(3)e" + "0" * 30 + "1", "1.5(2)e-3", "0.0001(1)e22", "1(1)e-22",
             "1.23456789012345(6)e-8", "-0(1)", "nan(nan)", "NaN ± NaN", "1 ± 2 e4",
-            f"1({'9' * 300})e22"]
-# read, but an infinite uncertainty on a finite value is no legal pair
-_ILLEGAL = ("1(inf)e2", "1 ± infe4", f"1({'9' * 300})e22")
+            f"1({'9' * 300})e22", "5 ± -1", "5 ± -Inf"]
+# read, but a negative uncertainty is no legal pair
+_ILLEGAL = ("5 ± -1", "5 ± -Inf")
 _FAST = ["5.3623(64)", "-2.5(3)e+20", "1.0e2 ± 5", "42", "1.25 ± 0.5", "12300(500)"]
 
 

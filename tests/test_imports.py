@@ -85,23 +85,26 @@ def test_cli_import_loads_no_concurrent_futures():
 
 def _references(tree) -> list[tuple[str, set[int]]]:
     """Each name a module refers to, by a name it does not assign, an
-    attribute or a string constant such as an __all__ entry, with the ids
-    of the function and class definitions it lies inside."""
+    attribute or an entry of its __all__, with the ids of the function and
+    class definitions it lies inside.  Any other string, such as a JSON
+    key, refers to nothing."""
     found = []
 
-    def visit(node, inside):
+    def visit(node, inside, in_all):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.append((node.id, inside))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, inside))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif in_all and isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.append((node.value, inside))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {id(node)}
+        in_all = in_all or (isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, in_all)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), False)
     return found
 
 

@@ -214,6 +214,16 @@ def test_summaries_of_inf_minus_inf():
         assert mean(make_uncertain([1.0, math.inf], 1.0)).value == math.inf
 
 
+@pytest.mark.parametrize("errors", [[0.1, math.nan, 0.1], [math.nan, 0.1, 0.1]])
+def test_one_nan_error_makes_a_nan_error(errors):
+    # as in a sum, wherever the NaN error is; the values stay
+    x = make_uncertain([4.0, 9.0, 6.25], errors)
+    for fn in (total, mean, median, lambda x: weighted_mean(x, [1, 2, 1])):
+        out = fn(x)
+        assert math.isfinite(out.value) and math.isnan(out.error), fn
+    assert median(x).value == 6.25
+
+
 def test_empty_inputs():
     empty = make_uncertain([], [])
     for fn in (total, product, mean, median, minimum, maximum):

@@ -405,11 +405,13 @@ _REF_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)"
 _REF_EXP = r"[eE][+-]?\d+"
 _REF_NUMERAL = rf"{_REF_NUM}(?:{_REF_EXP})?"
 _REF_PLAIN_RE = re.compile(rf"{_REF_NUMERAL}|[+-]?(?:inf|nan)", re.IGNORECASE)
+_REF_NONFINITE = r"(?i:inf|nan)"
 _REF_PAREN_RE = re.compile(
-    rf"\s*(?P<val>{_REF_NUM})\((?P<unc>\d+\.\d*|\.\d+|\d+)\)(?P<exp>{_REF_EXP})?\s*$")
+    rf"\s*(?P<val>{_REF_NUM})\((?P<unc>\d+\.\d*|\.\d+|\d+|{_REF_NONFINITE})\)"
+    rf"(?P<exp>{_REF_EXP})?\s*$")
 _REF_PM_RE = re.compile(
     rf"\s*(?P<lp>\()?\s*(?P<val>{_REF_NUMERAL})\s*(?:±|\+/-)\s*"
-    rf"(?P<unc>{_REF_NUMERAL})\s*(?(lp)\))(?P<exp>{_REF_EXP})?\s*$")
+    rf"(?P<unc>{_REF_NUMERAL}|[+-]?{_REF_NONFINITE})\s*(?(lp)\))(?P<exp>{_REF_EXP})?\s*$")
 _REF_BARE_RE = re.compile(rf"\s*(?P<val>{_REF_NUMERAL})\s*$")
 _REF_NAN_RE = re.compile(r"\s*NaN(?:\(NaN\)|\s*(?:±|\+/-)\s*NaN)\s*$")
 
@@ -421,6 +423,8 @@ def _reference_exponent(text):
 
 
 def _reference_scaled(numeral, expn):
+    if numeral[-1].isalpha():  # inf and nan take no exponent
+        return float(numeral)
     mantissa, _, exp = numeral.lower().partition("e")
     if exp:
         expn += _reference_exponent(exp)
@@ -497,7 +501,7 @@ def test_classify_matches_per_cell_reference(cells):
     (["1.0(1)", "1(1)\x002(1)"], "text"),
     (["1.0(1)\x00", "2(1)"], "text"),  # as many matches as cells, one NUL too many
     (["1.0(1)", "5 ± -1"], "text"),  # an illegal pair
-    (["1.0(1)", "1 ± 1e999"], "text"),
+    (["1.0(1)", "1 ± 1e999"], "uncertain"),
     (["alpha", "1.0(1)"], "text"),
     (["1", "-Inf", "nan", "2e-3"], "numeric"),
     ([], "numeric"),  # a header with no rows
